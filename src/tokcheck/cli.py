@@ -288,8 +288,7 @@ def _cmd_simulate(args) -> int:
     bundle = load_spec(args.spec, args.max_len)
     t = bundle.tokenizer
     p_star = load_dist(args.dist, t.char_space)
-    schedule = [int(part) for part in args.schedule.split(",") if part]
-    summary = sim.run_estimation(t, p_star, schedule, seed=args.seed)
+    summary = sim.run_estimation(t, p_star, args.schedule, seed=args.seed)
     for n, tv in summary.rows():
         print(f"{n}\t{tv}\t{float(tv):.6f}")
     print(f"bias: {summary.bias}")
@@ -329,6 +328,33 @@ def _cmd_transduce(args) -> int:
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _schedule(text: str) -> list[int]:
+    """Comma-separated sample counts, each positive and larger than the one before."""
+    try:
+        counts = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+    if not counts:
+        raise argparse.ArgumentTypeError("needs at least one sample count")
+    if counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise argparse.ArgumentTypeError(
+            f"sample counts must be positive and strictly increasing, got {text!r}"
+        )
+    return counts
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tokcheck", description="Tokenizer soundness checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -339,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="exactness, classification, and the consistency probe")
     common(p)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_nonnegative_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=_cmd_check)
@@ -360,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="estimation trace through the tokenizer")
     common(p)
     p.add_argument("dist", help="target distribution JSON over texts")
-    p.add_argument("--schedule", default="100,1000,10000")
+    p.add_argument("--schedule", type=_schedule, default="100,1000,10000")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("transduce", help="run and verify the greedy-encoder transducer")
     common(p)
     p.add_argument("--text")
-    p.add_argument("--verify-max-len", type=int, default=None)
+    p.add_argument("--verify-max-len", type=_nonnegative_int, default=None)
     p.add_argument("--transducer", help="transducer JSON to use instead of building one")
     p.set_defaults(func=_cmd_transduce)
     return parser

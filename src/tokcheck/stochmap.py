@@ -107,11 +107,16 @@ def support_of(f: StochMap) -> set[Str]:
 
 
 def is_deterministic(f: StochMap) -> Verdict:
-    """True iff every row is a point mass; witness is the first stochastic row."""
-    for x, row in f.rows():
-        if len(row.mass) != 1:
-            return Verdict.failed(x, f"row has support size {len(row.mass)}")
-    return Verdict.passed()
+    """True iff every row is a point mass; witness is the first stochastic row.
+
+    Rows are scanned in kernel order; canonical order is needed only to pick
+    the witness among the stochastic rows, so a passing check sorts nothing.
+    """
+    stochastic = [x for x, row in f.kernel.items() if len(row.mass) != 1]
+    if not stochastic:
+        return Verdict.passed()
+    x = min(stochastic, key=Str.sort_key)
+    return Verdict.failed(x, f"row has support size {len(f.kernel[x].mass)}")
 
 
 def is_injective(f: StochMap) -> Verdict:

@@ -134,23 +134,39 @@ def _decoder_values(decoder: StochMap) -> dict[Str, Str] | None:
 
 
 def _multiplicative_verdict(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
+    """Whether f(u·v) = f(u)·f(v) for every pair with |u| + |v| <= m.
+
+    Only left factors of length at most 1 are checked, one pair per row:
+    the ε row gives (ε, ε), which fails iff f(ε) ≠ ε, and each row a·w gives
+    (a, w). These checks imply every pair, by induction on the length of
+    the left factor: f(a·u·v) = f(a)·f(u·v) = f(a)·f(u)·f(v) = f(a·u)·f(v).
+    So if any pair fails, a pair with a left factor of length at most 1
+    fails too, and all such pairs come before every longer left factor in
+    canonical pair order (left, then right, each by length and then
+    lexicographically). The witness, the first failing checked pair in that
+    order, is therefore the first (left, right) pair a full scan would
+    report. Values are compared as symbol tuples, and only the rows of
+    length below m, the right factors, are indexed by them.
+    """
     if values is None:
         return Verdict.not_applicable("decoder is stochastic")
     m = decoder.dom_space.max_len
     if m < 2:
         return Verdict.not_applicable("truncation admits no nonempty concatenation")
+    short = {x.syms: y.syms for x, y in values.items() if len(x) < m}
+    failed = [x.syms for x, y in values.items() if y.syms != short[x.syms[:1]] + short[x.syms[1:]]]
+    if not failed:
+        return Verdict.passed()
+    first = min(failed, key=lambda d: (d[:1], len(d), d))
     alpha = decoder.dom_space.alphabet
-    for left in enumerate_strings(alpha, m):
-        for right in enumerate_strings(alpha, m - len(left)):
-            joined = concat(left, right)
-            if values[joined] != concat(values[left], values[right]):
-                return Verdict.failed((left, right))
-    return Verdict.passed()
+    return Verdict.failed((Str(alpha, first[:1]), Str(alpha, first[1:])))
 
 
 def _trivial_kernel_verdict(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
     if values is None:
         return Verdict.not_applicable("decoder is stochastic")
+    if decoder.dom_space.max_len == 0:
+        return Verdict.not_applicable("truncation admits no token")
     alpha = decoder.dom_space.alphabet
     for i in range(len(alpha)):
         token = Str(alpha, (i,))
@@ -184,13 +200,18 @@ def classify(t: Tokenizer) -> ClassificationReport:
     else:
         bijective = Verdict.failed(exact.witness, "not exact")
     values = _decoder_values(t.decoder)
+    multiplicative = _multiplicative_verdict(t.decoder, values)
+    # f(δ) = f(prefix)·f(rest) makes every multiplicative decoder prefix monotone
+    prefix_monotone = (
+        Verdict.passed() if multiplicative else _prefix_monotone_verdict(t.decoder, values)
+    )
     return ClassificationReport(
         deterministic_encoder=det_enc,
         deterministic_decoder=det_dec,
         bijective=bijective,
-        multiplicative_decoder=_multiplicative_verdict(t.decoder, values),
+        multiplicative_decoder=multiplicative,
         trivial_kernel=_trivial_kernel_verdict(t.decoder, values),
-        prefix_monotone=_prefix_monotone_verdict(t.decoder, values),
+        prefix_monotone=prefix_monotone,
     )
 
 

@@ -94,3 +94,55 @@ def corrupt_first_unit_row(t):
     kernel = dict(t.decoder.kernel)
     kernel[target] = tk.point_mass(wrong, t.decoder.cod_space)
     return tk.Tokenizer(t.encoder, tk.StochMap(t.decoder.dom_space, t.decoder.cod_space, kernel))
+
+
+def oracle_values(decoder):
+    """Point values of a deterministic map, or None if any row is stochastic."""
+    if any(len(row.mass) != 1 for row in decoder.kernel.values()):
+        return None
+    return {x: next(iter(row.mass)) for x, row in decoder.kernel.items()}
+
+
+def oracle_multiplicative(decoder):
+    """Brute-force multiplicativity: every (left, right) pair in canonical order."""
+    values = oracle_values(decoder)
+    if values is None:
+        return tk.Verdict.not_applicable("decoder is stochastic")
+    m = decoder.dom_space.max_len
+    if m < 2:
+        return tk.Verdict.not_applicable("truncation admits no nonempty concatenation")
+    alpha = decoder.dom_space.alphabet
+    for left in tk.enumerate_strings(alpha, m):
+        for right in tk.enumerate_strings(alpha, m - len(left)):
+            if values[tk.concat(left, right)] != tk.concat(values[left], values[right]):
+                return tk.Verdict.failed((left, right))
+    return tk.Verdict.passed()
+
+
+def oracle_prefix_monotone(decoder):
+    """Brute-force prefix monotonicity: every (prefix, string) pair in canonical order."""
+    values = oracle_values(decoder)
+    if values is None:
+        return tk.Verdict.not_applicable("decoder is stochastic")
+    for delta in decoder.dom_space.strings():
+        for i in range(len(delta)):
+            prefix = tk.Str(delta.alphabet, delta.syms[:i])
+            if not tk.is_prefix(values[prefix], values[delta]):
+                return tk.Verdict.failed((prefix, delta))
+    return tk.Verdict.passed()
+
+
+def oracle_eligibility(decoder):
+    """Deterministic, multiplicative and no token decoding to the empty string."""
+    if oracle_values(decoder) is None:
+        return tk.Verdict.failed(None, "decoder is stochastic")
+    mult = oracle_multiplicative(decoder)
+    if not mult:
+        return tk.Verdict.failed(mult.witness, f"multiplicativity: {mult.describe()}")
+    alpha = decoder.dom_space.alphabet
+    for i in range(len(alpha)):
+        token = tk.Str(alpha, (i,))
+        if len(decoder.value_at(token)) == 0:
+            note = "trivial kernel: false, witness " + token.render()
+            return tk.Verdict.failed(token, note + ", token decodes to the empty string")
+    return tk.Verdict.passed()

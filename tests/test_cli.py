@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import tokcheck as tk
 from tokcheck import cli
 
@@ -48,6 +50,50 @@ def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", DATA / "nope.json")
     assert code == 2
     assert "error:" in err
+
+
+def test_check_empty_truncation(capsys):
+    code, out, _ = run_cli(capsys, "check", DATA / "the_vocab.json", "--max-len", "0")
+    assert code == 0
+    assert "trivial kernel: not applicable (truncation admits no token)" in out
+
+
+def run_cli_usage_error(capsys, *argv):
+    """Run a command argparse must reject; return its one error line."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(a) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    return errors[0]
+
+
+def test_check_negative_trials(capsys):
+    line = run_cli_usage_error(capsys, "check", DATA / "fig1.json", "--trials", "-3")
+    assert "argument --trials: must be >= 0" in line
+
+
+def test_simulate_schedule_not_integers(capsys):
+    line = run_cli_usage_error(
+        capsys, "simulate", DATA / "fig1.json", DATA / "fig1_pstar.json", "--schedule", "100,abc"
+    )
+    assert "argument --schedule: expected comma-separated integers" in line
+
+
+def test_simulate_schedule_not_increasing(capsys):
+    line = run_cli_usage_error(
+        capsys, "simulate", DATA / "fig1.json", DATA / "fig1_pstar.json", "--schedule", "100,100"
+    )
+    assert "argument --schedule: sample counts must be positive and strictly increasing" in line
+
+
+def test_transduce_negative_verify_max_len(capsys):
+    line = run_cli_usage_error(
+        capsys, "transduce", DATA / "the_vocab.json", "--verify-max-len", "-1"
+    )
+    assert "argument --verify-max-len: must be >= 0" in line
 
 
 def test_preimages_the(capsys):

@@ -147,6 +147,10 @@ def test_is_deterministic_witness(fig1, vocab):
     verdict = tk.is_deterministic(uniform.encoder)
     # first stochastic row in canonical order: "th" already has two segmentations
     assert not verdict and verdict.witness == tk.parse_str(vocab.sigma, "th")
+    # the witness follows canonical order, not the kernel's insertion order
+    rows = reversed(list(uniform.encoder.kernel.items()))
+    shuffled = tk.StochMap(uniform.char_space, uniform.token_space, dict(rows))
+    assert tk.is_deterministic(shuffled) == verdict
 
 
 def test_is_injective_witnesses(fig1):

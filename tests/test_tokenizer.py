@@ -2,10 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tokcheck as tk
 from tokcheck.errors import DecoderNotEligible, EncoderNotDeterministic, NotDeterministic
-from helpers import corrupt_first_unit_row, dist_from, random_open_vocab, table_map
+from helpers import (
+    corrupt_first_unit_row,
+    dist_from,
+    oracle_eligibility,
+    oracle_multiplicative,
+    oracle_prefix_monotone,
+    random_open_vocab,
+    table_map,
+)
 
 
 def test_fig1_inconsistent_with_pstar(fig1):
@@ -250,3 +260,79 @@ def test_random_exact_tokenizers_and_injected_corruption():
     assert verdict.witness == min(
         (s for s in t.char_space.strings() if len(s) == 1), key=tk.Str.sort_key
     )
+
+
+XY = tk.Alphabet(("x", "y"))
+ABC = tk.Alphabet(("a", "b", "c"), tk.TOKENS)
+
+
+def with_empty_encoder(decoder):
+    """Pair a decoder with the one-row encoder on the empty text."""
+    encoder = table_map(tk.Space(decoder.cod_space.alphabet, 0), decoder.dom_space, {"ε": "ε"})
+    return tk.Tokenizer(encoder, decoder)
+
+
+def spelling_decoder(spellings, max_len, rows):
+    """Table decoder over ABC concatenating spellings over XY, with `rows` overridden."""
+    token_space = tk.Space(ABC, max_len)
+    char_space = tk.Space(XY, max_len * max(map(len, spellings)))
+    values = {d: "".join(spellings[j] for j in d.syms) for d in token_space.strings()}
+    values.update({tk.parse_str(ABC, text): out for text, out in rows.items()})
+    kernel = {d: tk.point_mass(tk.parse_str(XY, v), char_space) for d, v in values.items()}
+    return tk.StochMap(token_space, char_space, kernel)
+
+
+def test_multiplicativity_witness_when_empty_row_is_nonempty():
+    t = with_empty_encoder(spelling_decoder(["x", "y", "xy"], 2, {"ε": "y"}))
+    eps = tk.Space(ABC, 0).empty()
+    assert tk.classify(t).multiplicative_decoder == tk.Verdict.failed((eps, eps))
+    assert tk.decoder_eligibility(t).witness == (eps, eps)
+
+
+def test_multiplicativity_witness_prefers_one_token_left_factor():
+    # both (a, b|c) and (a|b, c) fail; canonical order reports the shorter left factor
+    t = with_empty_encoder(spelling_decoder(["x", "y", "xy"], 3, {"a|b|c": "yyy"}))
+    a, bc = tk.parse_str(ABC, "a"), tk.parse_str(ABC, "b|c")
+    assert oracle_multiplicative(t.decoder).witness == (a, bc)
+    report = tk.classify(t)
+    assert report.multiplicative_decoder == tk.Verdict.failed((a, bc))
+    assert report.prefix_monotone == tk.Verdict.failed((a, tk.parse_str(ABC, "a|b|c")))
+    assert tk.decoder_eligibility(t) == tk.Verdict.failed(
+        (a, bc), "multiplicativity: false, witness (a, b|c)"
+    )
+
+
+@st.composite
+def table_decoder_tokenizers(draw):
+    """A table decoder from random spellings (empty ones included), some rows corrupted.
+
+    Up to two rows (the ε row among them) get a random output, and one time
+    in five a row is made stochastic.
+    """
+    k = draw(st.integers(1, 3))
+    m = 4 - draw(st.integers(0, 4))  # hypothesis favours small draws: mostly long truncations
+    sigma = tk.Alphabet(("x", "y")[: draw(st.integers(1, 2))])
+    delta = tk.Alphabet(("a", "b", "c")[:k], tk.TOKENS)
+    token_space, char_space = tk.Space(delta, m), tk.Space(sigma, max(1, 2 * m))
+    chars = st.integers(0, len(sigma) - 1)
+    spellings = draw(st.lists(st.lists(chars, max_size=2).map(tuple), min_size=k, max_size=k))
+    out = {d: sum((spellings[j] for j in d.syms), ()) for d in token_space.strings()}
+    domain = list(out)
+    for d in draw(st.lists(st.sampled_from(domain), max_size=2)):
+        out[d] = tuple(draw(st.lists(chars, max_size=char_space.max_len)))
+    kernel = {d: tk.point_mass(tk.Str(sigma, y), char_space) for d, y in out.items()}
+    if draw(st.integers(1, 5)) == 5:
+        half = Fraction(1, 2)
+        kernel[draw(st.sampled_from(domain))] = tk.Dist(
+            char_space, {tk.Str(sigma, ()): half, tk.Str(sigma, (0,)): half}
+        )
+    return with_empty_encoder(tk.StochMap(token_space, char_space, kernel))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_decoder_tokenizers())
+def test_structural_verdicts_match_brute_force(t):
+    report = tk.classify(t)
+    assert report.multiplicative_decoder == oracle_multiplicative(t.decoder)
+    assert report.prefix_monotone == oracle_prefix_monotone(t.decoder)
+    assert tk.decoder_eligibility(t) == oracle_eligibility(t.decoder)
