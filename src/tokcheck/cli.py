@@ -91,14 +91,19 @@ def table_rows(f: StochMap) -> list:
     return rows
 
 
-def load_spec(path: str, max_len: int) -> SpecBundle:
+def _read_json(path: str):
+    """Parse a JSON file; unreadable or malformed files raise ParseError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+
+
+def load_spec(path: str, max_len: int) -> SpecBundle:
+    doc = _read_json(path)
     try:
         return _build_spec(doc, max_len)
     except ParseError:
@@ -160,13 +165,7 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
 
 
 def load_dist(path: str, space: Space) -> Dist:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    doc = _read_json(path)
     try:
         mass = {}
         for item in doc:
@@ -302,14 +301,7 @@ def _cmd_transduce(args) -> int:
         raise ParseError("transduce needs a vocabulary with spellings")
     vocab = bundle.vocab
     if args.transducer:
-        try:
-            with open(args.transducer, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.transducer}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.transducer} is not valid JSON: {exc}") from None
-        machine = transducer_from_json(doc, vocab.sigma, vocab.delta)
+        machine = transducer_from_json(_read_json(args.transducer), vocab.sigma, vocab.delta)
     else:
         machine = build_maximal_munch_transducer(vocab)
     if args.text is not None:
@@ -361,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("spec", help="tokenizer spec JSON file")
-        p.add_argument("--max-len", type=int, default=5, help="truncation for constructive specs")
+        p.add_argument(
+            "--max-len", type=_nonnegative_int, default=5, help="truncation for constructive specs"
+        )
 
     p = sub.add_parser("check", help="exactness, classification, and the consistency probe")
     common(p)

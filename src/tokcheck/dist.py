@@ -86,6 +86,16 @@ def point_mass(x: Str, space: Space) -> Dist:
     return Dist(space, {x: Fraction(1)})
 
 
+def random_dist(space: Space, rng: random.Random, max_support: int = 6) -> Dist:
+    """A random distribution on 1 to max_support strings of the space, integer weights 1-9."""
+    pool = list(space.strings())
+    k = rng.randint(1, min(max_support, len(pool)))
+    support = rng.sample(pool, k)
+    weights = [rng.randint(1, 9) for _ in support]
+    total = sum(weights)
+    return Dist(space, {s: Fraction(w, total) for s, w in zip(support, weights)})
+
+
 def _require_same_space(p: Dist, q: Dist) -> None:
     if p.space != q.space:
         raise SpaceMismatch("distributions live over different spaces")

@@ -22,7 +22,7 @@ from .errors import (
     VocabNotOpen,
 )
 from .stochmap import StochMap, materialize
-from .strings import TOKENS, Alphabet, Space, Str, parse_str
+from .strings import TOKENS, Alphabet, Space, Str, factorizations, parse_str
 from .tokenizer import Tokenizer
 
 
@@ -33,12 +33,15 @@ class Vocab:
     Spellings are nonempty strings over the character alphabet; labels and
     spellings are each pairwise distinct. The vocabulary is open when every
     single character appears as a spelling, which guarantees greedy
-    encoding always finds a match.
+    encoding always finds a match. Every spelling lookup goes through one
+    index from spelling symbols to token index.
     """
 
     sigma: Alphabet
     entries: tuple[tuple[str, Str], ...]
     delta: Alphabet = field(init=False, compare=False)
+    max_spelling_len: int = field(init=False, compare=False)
+    _by_spelling: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -53,9 +56,12 @@ class Vocab:
                 raise ValueError("every spelling must be over the character alphabet")
             if len(sp) == 0:
                 raise ValueError("spellings must be nonempty")
-        if len(set(sp.syms for sp in spellings)) != len(spellings):
+        by_spelling = {sp.syms: j for j, sp in enumerate(spellings)}
+        if len(by_spelling) != len(spellings):
             raise ValueError("spellings must be distinct")
         object.__setattr__(self, "delta", Alphabet(tuple(labels), TOKENS))
+        object.__setattr__(self, "max_spelling_len", max(len(sp) for sp in spellings))
+        object.__setattr__(self, "_by_spelling", by_spelling)
 
     @classmethod
     def from_texts(cls, sigma: Alphabet, pairs: Sequence[tuple[str, str]]) -> "Vocab":
@@ -68,19 +74,22 @@ class Vocab:
         return [sp for _, sp in self.entries]
 
     def token_by_spelling(self, syms: tuple[int, ...]) -> int | None:
-        for i, (_, sp) in enumerate(self.entries):
-            if sp.syms == syms:
-                return i
+        return self._by_spelling.get(syms)
+
+    def longest_match(self, syms: tuple[int, ...], pos: int = 0) -> int | None:
+        """The token whose spelling is the longest prefix of syms[pos:], or None.
+
+        The longest match is unique because spellings are distinct.
+        """
+        for n in range(min(self.max_spelling_len, len(syms) - pos), 0, -1):
+            j = self._by_spelling.get(syms[pos : pos + n])
+            if j is not None:
+                return j
         return None
 
     @property
     def is_open(self) -> bool:
-        singles = {sp.syms[0] for _, sp in self.entries if len(sp) == 1}
-        return len(singles) == len(self.sigma)
-
-    @property
-    def max_spelling_len(self) -> int:
-        return max(len(sp) for _, sp in self.entries)
+        return all((c,) in self._by_spelling for c in range(len(self.sigma)))
 
 
 @dataclass(frozen=True)
@@ -138,10 +147,10 @@ def concat_decoder(vocab: Vocab, max_tokens: int, out_max_len: int | None = None
 def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None) -> Str:
     """Greedy encoding: repeatedly consume the longest spelling prefixing the rest.
 
-    The longest match is unique because spellings are distinct. With
-    unk_token set, a position no spelling matches consumes one character
-    and emits that token (a lossy fallback that breaks exactness);
-    otherwise such a position is an error.
+    Each step is one `Vocab.longest_match`. With unk_token set, a position
+    no spelling matches consumes one character and emits that token (a
+    lossy fallback that breaks exactness); otherwise such a position is an
+    error.
     """
     if sigma.alphabet != vocab.sigma:
         raise ValueError("input is not over the vocabulary's character alphabet")
@@ -152,20 +161,15 @@ def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None)
     out: list[int] = []
     pos = 0
     while pos < len(text):
-        best = None
-        best_len = 0
-        for j, (_, sp) in enumerate(vocab.entries):
-            n = len(sp.syms)
-            if n > best_len and text[pos : pos + n] == sp.syms:
-                best, best_len = j, n
-        if best is None:
+        j = vocab.longest_match(text, pos)
+        if j is None:
             if unk_index is None:
                 raise NoMatchingPrefix(pos)
             out.append(unk_index)
             pos += 1
         else:
-            out.append(best)
-            pos += best_len
+            out.append(j)
+            pos += len(vocab.spelling(j))
     return Str(vocab.delta, out)
 
 
@@ -188,17 +192,15 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
             )
         seq.append(j)
     for left, right in merges.pairs:
+        left_j = vocab.token_by_spelling(left.syms)
+        right_j = vocab.token_by_spelling(right.syms)
         merged = vocab.token_by_spelling(left.syms + right.syms)
         while True:
             out: list[int] = []
             i = 0
             changed = False
             while i < len(seq):
-                if (
-                    i + 1 < len(seq)
-                    and vocab.spelling(seq[i]).syms == left.syms
-                    and vocab.spelling(seq[i + 1]).syms == right.syms
-                ):
+                if i + 1 < len(seq) and seq[i] == left_j and seq[i + 1] == right_j:
                     out.append(merged)
                     i += 2
                     changed = True
@@ -212,25 +214,13 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
 
 
 def segmentations(vocab: Vocab, sigma: Str) -> list[Str]:
-    """All token sequences whose spellings concatenate to sigma, canonically ordered."""
-    target = sigma.syms
-    found: list[Str] = []
-    stack: list[int] = []
+    """All token sequences whose spellings concatenate to sigma, canonically ordered.
 
-    def walk(pos: int) -> None:
-        if pos == len(target):
-            found.append(Str(vocab.delta, tuple(stack)))
-            return
-        for j, (_, sp) in enumerate(vocab.entries):
-            n = len(sp.syms)
-            if target[pos : pos + n] == sp.syms:
-                stack.append(j)
-                walk(pos + n)
-                stack.pop()
-
-    walk(0)
-    found.sort(key=Str.sort_key)
-    return found
+    One `factorizations` walk over the spellings; nonempty spellings keep
+    every segmentation within len(sigma) tokens.
+    """
+    spellings = [sp.syms for sp in vocab.spellings()]
+    return [Str(vocab.delta, parts) for parts in factorizations(sigma.syms, spellings, len(sigma))]
 
 
 def uniform_segmenter(vocab: Vocab, sigma: Str) -> Dist:

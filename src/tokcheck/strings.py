@@ -1,4 +1,4 @@
-"""Alphabets, symbol strings, truncated string spaces, and the prefix metric.
+"""Alphabets, symbol strings, truncated string spaces, the prefix metric, factorizations.
 
 Symbols are indices into an alphabet. A token's textual label (say "th") is
 display metadata only; nothing in this module ever interprets a label as a
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, OutOfTruncation, ParseError
 
@@ -202,6 +202,35 @@ def left_distance(a: Str, b: Str) -> int:
             break
         n += 1
     return len(a.syms) + len(b.syms) - 2 * n
+
+
+def factorizations(
+    target: tuple[int, ...], pieces: Sequence[tuple[int, ...]], max_parts: int
+) -> list[tuple[int, ...]]:
+    """Every sequence of at most max_parts piece indices whose pieces concatenate to target.
+
+    Depth-first over the piece list, trying only pieces that prefix the
+    remaining suffix. Pieces may repeat; each index is tried on its own.
+    Results in canonical order (length first, then lexicographic).
+    """
+    found: list[tuple[int, ...]] = []
+    stack: list[int] = []
+
+    def walk(pos: int) -> None:
+        if pos == len(target):
+            found.append(tuple(stack))
+            return
+        if len(stack) >= max_parts:
+            return
+        for j, piece in enumerate(pieces):
+            if target[pos : pos + len(piece)] == piece:
+                stack.append(j)
+                walk(pos + len(piece))
+                stack.pop()
+
+    walk(0)
+    found.sort(key=lambda parts: (len(parts), parts))
+    return found
 
 
 def enumerate_strings(alphabet: Alphabet, max_len: int) -> Iterator[Str]:

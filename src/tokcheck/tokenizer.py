@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dist import Dist, point_mass
+from .dist import Dist, point_mass, random_dist
 from .errors import (
     AlphabetMismatch,
     DecoderNotEligible,
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .reports import ClassificationReport, ProbeReport, Verdict
 from .stochmap import StochMap, is_deterministic, pushforward, support_of
-from .strings import Str, concat, enumerate_strings, is_prefix, left_distance
+from .strings import Str, concat, enumerate_strings, factorizations, is_prefix, left_distance
 
 
 @dataclass(eq=False)
@@ -100,7 +100,7 @@ def exact_iff_all_consistent_probe(t: Tokenizer, trials: int = 100, seed: int = 
     if exact:
         rng = random.Random(seed)
         for _ in range(trials):
-            p = _random_dist(space, rng)
+            p = random_dist(space, rng)
             v = is_consistent_wrt(t, p)
             if not v:
                 return ProbeReport(True, trials, False, p, "random distribution not preserved")
@@ -112,15 +112,6 @@ def exact_iff_all_consistent_probe(t: Tokenizer, trials: int = 100, seed: int = 
     sigma = exact.witness
     inconsistent = not is_consistent_wrt(t, point_mass(sigma, space))
     return ProbeReport(False, 0, inconsistent, sigma)
-
-
-def _random_dist(space, rng: random.Random, max_support: int = 6) -> Dist:
-    pool = list(space.strings())
-    k = rng.randint(1, min(max_support, len(pool)))
-    support = rng.sample(pool, k)
-    weights = [rng.randint(1, 9) for _ in support]
-    total = sum(weights)
-    return Dist(space, {s: Fraction(w, total) for s, w in zip(support, weights)})
 
 
 def _decoder_values(decoder: StochMap) -> dict[Str, Str] | None:
@@ -245,10 +236,10 @@ def decoder_eligibility(t: Tokenizer) -> Verdict:
 def preimages(t: Tokenizer, sigma: Str) -> list[Str]:
     """All token sequences in the decoder's domain that decode to sigma.
 
-    Depth-first search over token spellings, exploring only tokens whose
-    spelling prefixes the remaining suffix. Eligibility of the decoder
-    guarantees every preimage is at most |sigma| tokens long, so the search
-    is complete within the truncation. Results in canonical order.
+    One `factorizations` walk over the decoder's token spellings, which may
+    repeat. Eligibility of the decoder guarantees every preimage is at most
+    |sigma| tokens long, so the search is complete within the truncation.
+    Results in canonical order.
     """
     verdict = decoder_eligibility(t)
     if not verdict:
@@ -256,27 +247,9 @@ def preimages(t: Tokenizer, sigma: Str) -> list[Str]:
     if sigma.alphabet != t.char_space.alphabet:
         raise AlphabetMismatch("input text is not over the decoder's output alphabet")
     spellings = [s.syms for s in t._cache["spellings"]]
-    token_alpha = t.token_space.alphabet
     max_tokens = min(len(sigma), t.token_space.max_len)
-    target = sigma.syms
-    found: list[Str] = []
-    stack: list[int] = []
-
-    def walk(pos: int) -> None:
-        if pos == len(target):
-            found.append(Str(token_alpha, tuple(stack)))
-            return
-        if len(stack) >= max_tokens:
-            return
-        for j, sp in enumerate(spellings):
-            if target[pos : pos + len(sp)] == sp:
-                stack.append(j)
-                walk(pos + len(sp))
-                stack.pop()
-
-    walk(0)
-    found.sort(key=Str.sort_key)
-    return found
+    token_alpha = t.token_space.alphabet
+    return [Str(token_alpha, parts) for parts in factorizations(sigma.syms, spellings, max_tokens)]
 
 
 def preimage_bound(n: int, vocab_size: int) -> int:

@@ -16,7 +16,7 @@ from typing import Callable
 from .errors import UndefinedTransition, VocabNotOpen
 from .reports import Verdict
 from .strings import Alphabet, Str, concat, enumerate_strings
-from .encoders import Vocab
+from .encoders import Vocab, maximal_munch_encode
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,11 @@ def build_maximal_munch_transducer(vocab: Vocab) -> SubseqTransducer:
 
     States are the viable pending buffers: strict prefixes of spellings,
     including the empty buffer. Reading a character extends the buffer;
-    once no spelling extends it, the longest spelling prefixing it is
+    once no spelling extends it, the longest spelling prefixing it
+    (`Vocab.longest_match`, the matcher of `maximal_munch_encode`) is
     emitted and the remainder is re-scanned, with the re-scan folded into
     the state construction so running stays a single left-to-right pass.
-    The terminal function flushes the remaining buffer greedily.
+    The terminal output of a state is `maximal_munch_encode` of its buffer.
     """
     if not vocab.is_open:
         raise VocabNotOpen("the transducer construction needs an open vocabulary")
@@ -112,30 +113,13 @@ def build_maximal_munch_transducer(vocab: Vocab) -> SubseqTransducer:
         for i in range(1, len(sp.syms)):
             strict_prefixes.add(sp.syms[:i])
 
-    def longest_spelling(rest: tuple[int, ...]) -> int:
-        best, best_len = None, 0
-        for j, (_, sp) in enumerate(vocab.entries):
-            n = len(sp.syms)
-            if n > best_len and rest[:n] == sp.syms:
-                best, best_len = j, n
-        assert best is not None, "open vocabulary guarantees a match"
-        return best
-
     def settle(buf: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
         emitted: list[int] = []
         while buf not in strict_prefixes:
-            j = longest_spelling(buf)
+            j = vocab.longest_match(buf)
             emitted.append(j)
             buf = buf[len(vocab.spelling(j)) :]
         return buf, emitted
-
-    def flush(buf: tuple[int, ...]) -> list[int]:
-        emitted: list[int] = []
-        while buf:
-            j = longest_spelling(buf)
-            emitted.append(j)
-            buf = buf[len(vocab.spelling(j)) :]
-        return emitted
 
     def name(buf: tuple[int, ...]) -> str:
         return "·".join(sigma.labels[i] for i in buf) if buf else "ε"
@@ -155,7 +139,7 @@ def build_maximal_munch_transducer(vocab: Vocab) -> SubseqTransducer:
                 states.append(new_buf)
             next_state[(name(buf), a)] = name(new_buf)
             output[(name(buf), a)] = Str(delta, emitted)
-    terminal = {name(buf): Str(delta, flush(buf)) for buf in states}
+    terminal = {name(buf): maximal_munch_encode(vocab, Str(sigma, buf)) for buf in states}
     names = tuple(name(buf) for buf in states)
     if len(set(names)) != len(names):
         raise ValueError("buffer names collide; use distinct character labels")

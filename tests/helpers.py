@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import tokcheck as tk
+from tokcheck.dist import random_dist
+from tokcheck.errors import NoMatchingPrefix
 
 
 def dist_from(space, items):
@@ -54,15 +56,6 @@ def the_vocab():
     )
 
 
-def random_dist(space, rng, max_support=6):
-    pool = list(space.strings())
-    k = rng.randint(1, min(max_support, len(pool)))
-    support = rng.sample(pool, k)
-    weights = [rng.randint(1, 9) for _ in support]
-    total = sum(weights)
-    return tk.Dist(space, {s: Fraction(w, total) for s, w in zip(support, weights)})
-
-
 def random_map(dom_space, cod_space, rng, max_support=4):
     kernel = {x: random_dist(cod_space, rng, max_support) for x in dom_space.strings()}
     return tk.StochMap(dom_space, cod_space, kernel)
@@ -71,7 +64,7 @@ def random_map(dom_space, cod_space, rng, max_support=4):
 def random_open_vocab(rng, max_sigma=3, max_spelling=3, max_extras=3):
     """A random open vocabulary: all single characters plus a few longer spellings."""
     k = rng.randint(1, max_sigma)
-    labels = tuple("abc"[:k])
+    labels = tuple("abcd"[:k])
     sigma = tk.Alphabet(labels)
     entries = [(lab, lab) for lab in labels]
     seen = {(i,) for i in range(k)}
@@ -94,6 +87,29 @@ def corrupt_first_unit_row(t):
     kernel = dict(t.decoder.kernel)
     kernel[target] = tk.point_mass(wrong, t.decoder.cod_space)
     return tk.Tokenizer(t.encoder, tk.StochMap(t.decoder.dom_space, t.decoder.cod_space, kernel))
+
+
+def oracle_greedy_encode(vocab, sigma, unk_token=None):
+    """Greedy longest match by scanning every vocab entry at each position."""
+    unk_index = None if unk_token is None else vocab.delta.index(unk_token)
+    text = sigma.syms
+    out = []
+    pos = 0
+    while pos < len(text):
+        best, best_len = None, 0
+        for j, (_, sp) in enumerate(vocab.entries):
+            n = len(sp.syms)
+            if n > best_len and text[pos : pos + n] == sp.syms:
+                best, best_len = j, n
+        if best is None:
+            if unk_index is None:
+                raise NoMatchingPrefix(pos)
+            out.append(unk_index)
+            pos += 1
+        else:
+            out.append(best)
+            pos += best_len
+    return tk.Str(vocab.delta, out)
 
 
 def oracle_values(decoder):

@@ -206,6 +206,27 @@ def test_transduce_corrupted_file(capsys):
     assert "equivalent: false, witness t" in out
 
 
+def test_transduce_missing_transducer_file(capsys):
+    code, _, err = run_cli(
+        capsys, "transduce", DATA / "the_vocab.json", "--transducer", DATA / "nope.json"
+    )
+    assert code == 2
+    assert f"error: cannot read {DATA / 'nope.json'}" in err
+
+
+def test_transduce_transducer_not_json(capsys, tmp_path):
+    path = tmp_path / "machine.json"
+    path.write_text("{not json", encoding="utf-8")
+    code, _, err = run_cli(capsys, "transduce", DATA / "the_vocab.json", "--transducer", path)
+    assert code == 2
+    assert f"error: {path} is not valid JSON" in err
+
+
+def test_check_negative_max_len(capsys):
+    line = run_cli_usage_error(capsys, "check", DATA / "the_vocab.json", "--max-len", "-1")
+    assert "argument --max-len: must be >= 0" in line
+
+
 def test_dist_round_trip(vocab):
     space = tk.Space(vocab.delta, 3)
     original = cli.load_dist(DATA / "the_qdist.json", space)

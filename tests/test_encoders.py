@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tokcheck as tk
 from tokcheck.errors import (
@@ -10,6 +13,7 @@ from tokcheck.errors import (
     TruncationOverflow,
     VocabNotOpen,
 )
+from helpers import oracle_greedy_encode, random_open_vocab
 
 
 def test_vocab_invariants(sigma):
@@ -160,3 +164,57 @@ def test_lossy_unk_mode_breaks_exactness():
     assert t.encoder.value_at(y).render() == "unk"
     verdict = tk.is_exact(t)
     assert not verdict and verdict.witness == y
+
+
+open_vocabs = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_open_vocab(random.Random(seed), max_sigma=4, max_spelling=4, max_extras=6)
+)
+
+
+def texts(vocab, max_len=8):
+    chars = st.integers(0, len(vocab.sigma) - 1)
+    return st.lists(chars, max_size=max_len).map(lambda syms: tk.Str(vocab.sigma, syms))
+
+
+def greedy_outcome(encode, *args):
+    """An encoding, or the position a NoMatchingPrefix reports."""
+    try:
+        return encode(*args)
+    except NoMatchingPrefix as exc:
+        return ("no match", exc.position)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_greedy_encoder_and_transducer_match_oracle(data):
+    vocab = data.draw(open_vocabs)
+    machine = tk.build_maximal_munch_transducer(vocab)
+    for text in data.draw(st.lists(texts(vocab), min_size=1, max_size=10)):
+        want = oracle_greedy_encode(vocab, text)
+        assert tk.maximal_munch_encode(vocab, text) == want
+        assert tk.run(machine, text) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_greedy_encoder_matches_oracle_on_non_open_vocab(data):
+    vocab = data.draw(open_vocabs)
+    dropped = {(c,) for c in data.draw(st.sets(st.integers(0, len(vocab.sigma) - 1), min_size=1))}
+    entries = [(label, sp) for label, sp in vocab.entries if sp.syms not in dropped]
+    partial = tk.Vocab(vocab.sigma, tuple(entries or vocab.entries[-1:]))
+    unk = data.draw(st.sampled_from([None, *partial.delta.labels]))
+    for text in data.draw(st.lists(texts(partial), min_size=1, max_size=10)):
+        assert greedy_outcome(tk.maximal_munch_encode, partial, text, unk) == greedy_outcome(
+            oracle_greedy_encode, partial, text, unk
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(open_vocabs)
+def test_segmentations_match_brute_force(vocab):
+    n = 3
+    groups = {}
+    for delta in tk.Space(vocab.delta, n).strings():
+        groups.setdefault(tk.decode_tokens(vocab, delta), []).append(delta)
+    for sigma in tk.Space(vocab.sigma, n).strings():
+        assert tk.segmentations(vocab, sigma) == groups.get(sigma, [])

@@ -282,6 +282,20 @@ def spelling_decoder(spellings, max_len, rows):
     return tk.StochMap(token_space, char_space, kernel)
 
 
+def test_preimages_with_repeated_spelling():
+    # a and b both decode to x: still deterministic, multiplicative, trivial kernel
+    t = with_empty_encoder(spelling_decoder(["x", "x", "y"], 2, {}))
+    assert tk.decoder_eligibility(t)
+
+    def rendered(text):
+        return [d.render() for d in tk.preimages(t, tk.parse_str(XY, text))]
+
+    assert rendered("x") == ["a", "b"]
+    assert rendered("xy") == ["a|c", "b|c"]
+    assert rendered("xx") == ["a|a", "a|b", "b|a", "b|b"]
+    assert rendered("xxx") == []  # three tokens exceed the truncation
+
+
 def test_multiplicativity_witness_when_empty_row_is_nonempty():
     t = with_empty_encoder(spelling_decoder(["x", "y", "xy"], 2, {"ε": "y"}))
     eps = tk.Space(ABC, 0).empty()
