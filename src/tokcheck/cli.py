@@ -124,11 +124,15 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
 
     if enc_type == "table":
         enc_raw = _parse_table(enc_doc["table"], sigma, delta)
+        if not enc_raw:
+            raise ParseError("encoder table is empty; it must cover the whole domain")
         n = max(len(x) for x in enc_raw)
     else:
         n = max_len
     if dec_type == "table":
         dec_raw = _parse_table(dec_doc["table"], delta, sigma)
+        if not dec_raw:
+            raise ParseError("decoder table is empty; it must cover the whole domain")
         m = max(len(x) for x in dec_raw)
         n_out = max(n, max((len(y) for row in dec_raw.values() for y in row), default=0))
     else:

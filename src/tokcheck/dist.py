@@ -19,6 +19,9 @@ from .errors import EmptySample, SpaceMismatch
 from .strings import Space, Str
 
 
+_ONE = Fraction(1)
+
+
 class Dist:
     """A probability distribution with finite support inside a truncated space."""
 
@@ -40,6 +43,14 @@ class Dist:
             raise ValueError(f"masses must sum to exactly 1, got {total}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "mass", clean)
+
+    @classmethod
+    def _point(cls, x: Str, space: Space) -> Dist:
+        # fast path for a point mass on a string already known to lie in the space
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "mass", {x: _ONE})
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("Dist is immutable")

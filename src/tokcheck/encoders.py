@@ -126,9 +126,11 @@ def decode_tokens(vocab: Vocab, delta: Str) -> Str:
 def concat_decoder(vocab: Vocab, max_tokens: int, out_max_len: int | None = None) -> StochMap:
     """The deterministic concatenating decoder over token sequences of length <= max_tokens.
 
-    The output truncation defaults to max_tokens times the longest spelling,
-    the largest length a decoded sequence can reach; a tighter explicit
-    bound raises TruncationOverflow if any sequence decodes past it.
+    The decoder is the map fixed by the vocabulary's spellings: it stores
+    those and decodes a row on lookup. The output truncation defaults to
+    max_tokens times the longest spelling, the largest length a decoded
+    sequence can reach; a tighter explicit bound raises TruncationOverflow
+    if any sequence decodes past it.
     """
     reach = max_tokens * vocab.max_spelling_len
     if out_max_len is None:
@@ -141,7 +143,7 @@ def concat_decoder(vocab: Vocab, max_tokens: int, out_max_len: int | None = None
         )
     dom = Space(vocab.delta, max_tokens)
     cod = Space(vocab.sigma, out_max_len)
-    return materialize(lambda delta: decode_tokens(vocab, delta), dom, cod)
+    return StochMap.from_spellings(dom, cod, vocab.spellings())
 
 
 def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None) -> Str:

@@ -2,26 +2,74 @@
 
 A map assigns a distribution over the codomain space to every string of its
 domain space. Kernels are stored sparsely (positive masses only) and are
-total: construction fails unless every domain string has a row. Composition
-is row-column summation; with exact rational masses the row sums stay
-exactly 1.
+total: construction fails unless every domain string has a row. A map fixed
+by one spelling per domain symbol, the monoid homomorphism that
+concatenates them (such as the concatenating decoder), stores only its
+spellings: its kernel computes each row on lookup. Composition is
+row-column summation; with exact rational masses the row sums stay exactly
+1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dist import Dist, point_mass
-from .errors import NotDeterministic, OutOfDomain, ProcUndefined, SpaceMismatch, TokcheckError
+from .errors import (
+    NotDeterministic,
+    OutOfDomain,
+    OutOfTruncation,
+    ProcUndefined,
+    SpaceMismatch,
+    TokcheckError,
+)
 from .reports import Verdict
 from .strings import Space, Str
 
 
-class StochMap:
-    """A total map from a truncated domain space to distributions over a codomain space."""
+class _SpellingKernel(Mapping):
+    """Read-only rows of the homomorphism fixed by one spelling per domain symbol.
 
-    __slots__ = ("dom_space", "cod_space", "kernel")
+    A row is the point mass on the concatenated spellings, computed on each
+    lookup and never stored. Keys are the domain strings in canonical order.
+    """
+
+    __slots__ = ("dom_space", "cod_space", "_spellings")
+
+    def __init__(self, dom_space: Space, cod_space: Space, spellings: tuple[Str, ...]):
+        self.dom_space = dom_space
+        self.cod_space = cod_space
+        self._spellings = tuple(sp.syms for sp in spellings)
+
+    def __getitem__(self, x: Str) -> Dist:
+        if not isinstance(x, Str) or x not in self.dom_space:
+            raise KeyError(x)
+        syms: tuple[int, ...] = ()
+        for i in x.syms:
+            syms += self._spellings[i]
+        return Dist._point(Str._wrap(self.cod_space.alphabet, syms), self.cod_space)
+
+    def __contains__(self, x) -> bool:
+        return isinstance(x, Str) and x in self.dom_space
+
+    def __iter__(self) -> Iterator[Str]:
+        return self.dom_space.strings()
+
+    def __len__(self) -> int:
+        return self.dom_space.size()
+
+
+class StochMap:
+    """A total map from a truncated domain space to distributions over a codomain space.
+
+    `spellings` is None for a tabulated map. For a map built by
+    `from_spellings` it holds the image of each domain symbol, which fixes
+    every row.
+    """
+
+    __slots__ = ("dom_space", "cod_space", "kernel", "spellings")
 
     def __init__(self, dom_space: Space, cod_space: Space, kernel: dict[Str, Dist]):
         if len(kernel) != dom_space.size():
@@ -35,6 +83,34 @@ class StochMap:
         object.__setattr__(self, "dom_space", dom_space)
         object.__setattr__(self, "cod_space", cod_space)
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "spellings", None)
+
+    @classmethod
+    def from_spellings(
+        cls, dom_space: Space, cod_space: Space, spellings: Sequence[Str]
+    ) -> StochMap:
+        """The deterministic map sending a string to the concatenation of its symbols' spellings.
+
+        A monoid homomorphism, fixed by one spelling per domain symbol;
+        spellings may be empty or repeat. The codomain truncation must hold
+        the longest row, max_len copies of the longest spelling.
+        """
+        spellings = tuple(spellings)
+        if len(spellings) != len(dom_space.alphabet):
+            raise ValueError(
+                f"{len(spellings)} spellings for {len(dom_space.alphabet)} domain symbols"
+            )
+        if any(sp.alphabet != cod_space.alphabet for sp in spellings):
+            raise SpaceMismatch("every spelling must be over the codomain alphabet")
+        reach = dom_space.max_len * max(len(sp) for sp in spellings)
+        if reach > cod_space.max_len:
+            raise OutOfTruncation(f"rows reach length {reach} > truncation {cod_space.max_len}")
+        f = object.__new__(cls)
+        object.__setattr__(f, "dom_space", dom_space)
+        object.__setattr__(f, "cod_space", cod_space)
+        object.__setattr__(f, "kernel", _SpellingKernel(dom_space, cod_space, spellings))
+        object.__setattr__(f, "spellings", spellings)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("StochMap is immutable")
@@ -50,7 +126,7 @@ class StochMap:
 
     def rows(self) -> Iterable[tuple[Str, Dist]]:
         """Kernel rows in canonical domain order."""
-        for x in sorted(self.kernel, key=Str.sort_key):
+        for x in self.dom_space.strings():
             yield x, self.kernel[x]
 
     def value_at(self, x: Str) -> Str:
@@ -111,7 +187,10 @@ def is_deterministic(f: StochMap) -> Verdict:
 
     Rows are scanned in kernel order; canonical order is needed only to pick
     the witness among the stochastic rows, so a passing check sorts nothing.
+    A map built from spellings is deterministic by construction.
     """
+    if f.spellings is not None:
+        return Verdict.passed()
     stochastic = [x for x, row in f.kernel.items() if len(row.mass) != 1]
     if not stochastic:
         return Verdict.passed()

@@ -31,6 +31,7 @@ class Alphabet:
     labels: tuple[str, ...]
     role: str = CHARACTERS
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _max_label_len: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -45,6 +46,7 @@ class Alphabet:
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be pairwise distinct")
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        object.__setattr__(self, "_max_label_len", max(map(len, labels)))
         object.__setattr__(self, "_hash", hash((labels, self.role)))
 
     def __len__(self) -> int:
@@ -141,8 +143,8 @@ def parse_str(alphabet: Alphabet, text: str) -> Str:
 
     "" and "ε" denote the empty string. Text containing "|" is split on it
     and each part must be a label. Otherwise the text is consumed greedily,
-    longest matching label first; inputs that would need backtracking must
-    use the "|" form.
+    longest matching label first, one label-index probe per candidate
+    length; inputs that would need backtracking must use the "|" form.
     """
     if text in ("", "ε"):
         return empty(alphabet)
@@ -155,14 +157,14 @@ def parse_str(alphabet: Alphabet, text: str) -> Str:
     syms = []
     pos = 0
     while pos < len(text):
-        best = None
-        for i, lab in enumerate(alphabet.labels):
-            if text.startswith(lab, pos) and (best is None or len(lab) > len(alphabet.labels[best])):
-                best = i
-        if best is None:
+        for n in range(min(alphabet._max_label_len, len(text) - pos), 0, -1):
+            i = alphabet._index.get(text[pos : pos + n])
+            if i is not None:
+                break
+        else:
             raise ParseError(f"cannot parse {text!r}: no label matches at position {pos}")
-        syms.append(best)
-        pos += len(alphabet.labels[best])
+        syms.append(i)
+        pos += n
     return Str(alphabet, syms)
 
 

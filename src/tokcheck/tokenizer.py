@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .dist import Dist, point_mass, random_dist
 from .errors import (
@@ -115,7 +116,7 @@ def exact_iff_all_consistent_probe(t: Tokenizer, trials: int = 100, seed: int = 
 
 
 def _decoder_values(decoder: StochMap) -> dict[Str, Str] | None:
-    """Point values of a deterministic decoder, or None if any row is stochastic."""
+    """Point values of a deterministic table decoder, or None if any row is stochastic."""
     values = {}
     for x, row in decoder.kernel.items():
         if len(row.mass) != 1:
@@ -124,13 +125,23 @@ def _decoder_values(decoder: StochMap) -> dict[Str, Str] | None:
     return values
 
 
+def _token_images(decoder: StochMap, values: dict[Str, Str] | None) -> Sequence[Str]:
+    """The decoded value of each one-token sequence, in token order."""
+    if decoder.spellings is not None:
+        return decoder.spellings
+    alpha = decoder.dom_space.alphabet
+    return [values[Str(alpha, (i,))] for i in range(len(alpha))]
+
+
 def _multiplicative_verdict(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
     """Whether f(u·v) = f(u)·f(v) for every pair with |u| + |v| <= m.
 
-    Only left factors of length at most 1 are checked, one pair per row:
-    the ε row gives (ε, ε), which fails iff f(ε) ≠ ε, and each row a·w gives
-    (a, w). These checks imply every pair, by induction on the length of
-    the left factor: f(a·u·v) = f(a)·f(u·v) = f(a)·f(u)·f(v) = f(a·u)·f(v).
+    A decoder built from spellings is a homomorphism, so this holds by
+    construction. For a table decoder only left factors of length at most 1
+    are checked, one pair per row: the ε row gives (ε, ε), which fails iff
+    f(ε) ≠ ε, and each row a·w gives (a, w). These checks imply every pair,
+    by induction on the length of the left factor:
+    f(a·u·v) = f(a)·f(u·v) = f(a)·f(u)·f(v) = f(a·u)·f(v).
     So if any pair fails, a pair with a left factor of length at most 1
     fails too, and all such pairs come before every longer left factor in
     canonical pair order (left, then right, each by length and then
@@ -139,11 +150,13 @@ def _multiplicative_verdict(decoder: StochMap, values: dict[Str, Str] | None) ->
     report. Values are compared as symbol tuples, and only the rows of
     length below m, the right factors, are indexed by them.
     """
-    if values is None:
+    if values is None and decoder.spellings is None:
         return Verdict.not_applicable("decoder is stochastic")
     m = decoder.dom_space.max_len
     if m < 2:
         return Verdict.not_applicable("truncation admits no nonempty concatenation")
+    if decoder.spellings is not None:
+        return Verdict.passed()
     short = {x.syms: y.syms for x, y in values.items() if len(x) < m}
     failed = [x.syms for x, y in values.items() if y.syms != short[x.syms[:1]] + short[x.syms[1:]]]
     if not failed:
@@ -154,15 +167,14 @@ def _multiplicative_verdict(decoder: StochMap, values: dict[Str, Str] | None) ->
 
 
 def _trivial_kernel_verdict(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
-    if values is None:
+    if values is None and decoder.spellings is None:
         return Verdict.not_applicable("decoder is stochastic")
     if decoder.dom_space.max_len == 0:
         return Verdict.not_applicable("truncation admits no token")
     alpha = decoder.dom_space.alphabet
-    for i in range(len(alpha)):
-        token = Str(alpha, (i,))
-        if len(values[token]) == 0:
-            return Verdict.failed(token, "token decodes to the empty string")
+    for i, image in enumerate(_token_images(decoder, values)):
+        if len(image) == 0:
+            return Verdict.failed(Str(alpha, (i,)), "token decodes to the empty string")
     return Verdict.passed()
 
 
@@ -190,11 +202,15 @@ def classify(t: Tokenizer) -> ClassificationReport:
         bijective = Verdict.failed(det_enc.witness, "encoder is stochastic")
     else:
         bijective = Verdict.failed(exact.witness, "not exact")
-    values = _decoder_values(t.decoder)
+    homomorphism = t.decoder.spellings is not None
+    values = None if homomorphism else _decoder_values(t.decoder)
     multiplicative = _multiplicative_verdict(t.decoder, values)
-    # f(δ) = f(prefix)·f(rest) makes every multiplicative decoder prefix monotone
+    # f(δ) = f(prefix)·f(rest) makes every multiplicative decoder prefix monotone,
+    # and a decoder built from spellings at every truncation
     prefix_monotone = (
-        Verdict.passed() if multiplicative else _prefix_monotone_verdict(t.decoder, values)
+        Verdict.passed()
+        if homomorphism or multiplicative
+        else _prefix_monotone_verdict(t.decoder, values)
     )
     return ClassificationReport(
         deterministic_encoder=det_enc,
@@ -206,29 +222,35 @@ def classify(t: Tokenizer) -> ClassificationReport:
     )
 
 
+def _eligibility(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
+    if values is None and decoder.spellings is None:
+        return Verdict.failed(None, "decoder is stochastic")
+    mult = _multiplicative_verdict(decoder, values)
+    if not mult:
+        return Verdict.failed(mult.witness, f"multiplicativity: {mult.describe()}")
+    triv = _trivial_kernel_verdict(decoder, values)
+    if not triv:
+        return Verdict.failed(triv.witness, f"trivial kernel: {triv.describe()}")
+    return Verdict.passed()
+
+
 def decoder_eligibility(t: Tokenizer) -> Verdict:
-    """Eligibility of the decoder for preimage enumeration (cached per tokenizer).
+    """Eligibility of the decoder for preimage enumeration.
 
     Requires a deterministic decoder that is multiplicative with a trivial
-    kernel over its truncated domain.
+    kernel over its truncated domain. A decoder built from spellings is
+    decided from them; a table decoder's verdict, and its token spellings
+    when eligible, are cached on the tokenizer.
     """
+    if t.decoder.spellings is not None:
+        return _eligibility(t.decoder, None)
     cached = t._cache.get("eligibility")
     if cached is not None:
         return cached
     values = _decoder_values(t.decoder)
-    if values is None:
-        verdict = Verdict.failed(None, "decoder is stochastic")
-    else:
-        mult = _multiplicative_verdict(t.decoder, values)
-        triv = _trivial_kernel_verdict(t.decoder, values)
-        if not mult:
-            verdict = Verdict.failed(mult.witness, f"multiplicativity: {mult.describe()}")
-        elif not triv:
-            verdict = Verdict.failed(triv.witness, f"trivial kernel: {triv.describe()}")
-        else:
-            verdict = Verdict.passed()
-            alpha = t.token_space.alphabet
-            t._cache["spellings"] = [values[Str(alpha, (i,))] for i in range(len(alpha))]
+    verdict = _eligibility(t.decoder, values)
+    if verdict:
+        t._cache["spellings"] = _token_images(t.decoder, values)
     t._cache["eligibility"] = verdict
     return verdict
 
@@ -246,10 +268,13 @@ def preimages(t: Tokenizer, sigma: Str) -> list[Str]:
         raise DecoderNotEligible(verdict.note or "decoder not eligible")
     if sigma.alphabet != t.char_space.alphabet:
         raise AlphabetMismatch("input text is not over the decoder's output alphabet")
-    spellings = [s.syms for s in t._cache["spellings"]]
+    spellings = t.decoder.spellings
+    if spellings is None:
+        spellings = t._cache["spellings"]
+    pieces = [s.syms for s in spellings]
     max_tokens = min(len(sigma), t.token_space.max_len)
     token_alpha = t.token_space.alphabet
-    return [Str(token_alpha, parts) for parts in factorizations(sigma.syms, spellings, max_tokens)]
+    return [Str(token_alpha, parts) for parts in factorizations(sigma.syms, pieces, max_tokens)]
 
 
 def preimage_bound(n: int, vocab_size: int) -> int:

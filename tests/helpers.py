@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import tokcheck as tk
 from tokcheck.dist import random_dist
-from tokcheck.errors import NoMatchingPrefix
+from tokcheck.errors import NoMatchingPrefix, ParseError
 
 
 def dist_from(space, items):
@@ -110,6 +110,33 @@ def oracle_greedy_encode(vocab, sigma, unk_token=None):
             out.append(best)
             pos += best_len
     return tk.Str(vocab.delta, out)
+
+
+def oracle_parse_str(alphabet, text):
+    """Greedy label parse of "|"-free text by scanning every label at each position."""
+    if text in ("", "ε"):
+        return tk.Str(alphabet, ())
+    syms = []
+    pos = 0
+    while pos < len(text):
+        best = None
+        for i, lab in enumerate(alphabet.labels):
+            if text.startswith(lab, pos) and (best is None or len(lab) > len(alphabet.labels[best])):
+                best = i
+        if best is None:
+            raise ParseError(f"cannot parse {text!r}: no label matches at position {pos}")
+        syms.append(best)
+        pos += len(alphabet.labels[best])
+    return tk.Str(alphabet, syms)
+
+
+def tabulated_twin(spellings, dom_space, cod_space):
+    """The table map sending each token sequence to its concatenated spellings, every row stored."""
+
+    def concatenate(delta):
+        return tk.Str(cod_space.alphabet, [c for j in delta.syms for c in spellings[j].syms])
+
+    return tk.materialize(concatenate, dom_space, cod_space)
 
 
 def oracle_values(decoder):

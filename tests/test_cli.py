@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import tokcheck as tk
 from tokcheck import cli
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -264,3 +268,26 @@ def test_spec_round_trip_through_check(capsys, tmp_path):
     rebuilt = cli.load_spec(str(path), 5)
     assert rebuilt.tokenizer.encoder == bundle.tokenizer.encoder
     assert rebuilt.tokenizer.decoder == bundle.tokenizer.decoder
+
+
+@pytest.mark.parametrize("side", ["encoder", "decoder"])
+def test_empty_spec_table(capsys, tmp_path, side):
+    doc = json.loads((DATA / "fig1.json").read_text(encoding="utf-8"))
+    doc[side]["table"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    code, _, err = run_cli(capsys, "check", path)
+    assert code == 2
+    assert f"error: {side} table is empty; it must cover the whole domain" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    spec = DATA / "the_vocab.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tokcheck", "preimages", str(spec), "--text", "the"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "t|he\nth|e\nt|h|e\nbound: 155\n"

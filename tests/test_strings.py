@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import tokcheck as tk
 from tokcheck.errors import AlphabetMismatch, ParseError
+from helpers import oracle_parse_str
 
 
 AB = tk.Alphabet(("a", "b"))
@@ -133,3 +134,21 @@ def test_parse_rejects_unknown():
 def test_str_validates_indices():
     with pytest.raises(ValueError):
         tk.Str(AB, (0, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=6, unique=True),
+    st.text("abc", max_size=8),
+)
+def test_parse_str_matches_label_scan(labels, text):
+    # multi-character labels; "c" is in no label, so texts containing it do not parse
+    alphabet = tk.Alphabet(tuple(labels))
+    try:
+        want = oracle_parse_str(alphabet, text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            tk.parse_str(alphabet, text)
+        assert str(got.value) == str(exc)  # names the same position
+    else:
+        assert tk.parse_str(alphabet, text) == want
