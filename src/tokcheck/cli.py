@@ -28,12 +28,13 @@ from .encoders import (
     maximal_munch_encode,
     uniform_segmenter,
 )
-from .errors import ParseError, TokcheckError
-from .stochmap import StochMap, materialize
+from .errors import DecoderNotEligible, ParseError, TokcheckError
+from .stochmap import StochMap, materialize, pushforward
 from .strings import CHARACTERS, TOKENS, Alphabet, Space, parse_str
 from .tokenizer import (
     Tokenizer,
     classify,
+    decoder_eligibility,
     exact_iff_all_consistent_probe,
     is_exact,
     marginalize,
@@ -277,9 +278,14 @@ def _cmd_marginalize(args) -> int:
     if args.text is not None:
         print(marginalize(t, q, parse_str(t.char_space.alphabet, args.text)))
         return 0
+    # one pushforward of q through the decoder holds the marginal of every text
+    verdict = decoder_eligibility(t)
+    if not verdict:
+        raise DecoderNotEligible(verdict.note or "decoder not eligible")
+    decoded = pushforward(t.decoder, q)
     total = Fraction(0)
     for sigma in t.char_space.strings():
-        value = marginalize(t, q, sigma)
+        value = decoded.mass_of(sigma)
         if value:
             print(f"{sigma.render()}\t{value}")
             total += value

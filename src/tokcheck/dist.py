@@ -98,10 +98,14 @@ def point_mass(x: Str, space: Space) -> Dist:
 
 
 def random_dist(space: Space, rng: random.Random, max_support: int = 6) -> Dist:
-    """A random distribution on 1 to max_support strings of the space, integer weights 1-9."""
-    pool = list(space.strings())
-    k = rng.randint(1, min(max_support, len(pool)))
-    support = rng.sample(pool, k)
+    """A random distribution on 1 to max_support strings of the space, integer weights 1-9.
+
+    The support is drawn by index, so the space is never listed; `rng.sample`
+    picks the same indices from a range as from the listed strings.
+    """
+    size = space.size()
+    k = rng.randint(1, min(max_support, size))
+    support = [space.at(i) for i in rng.sample(range(size), k)]
     weights = [rng.randint(1, 9) for _ in support]
     total = sum(weights)
     return Dist(space, {s: Fraction(w, total) for s, w in zip(support, weights)})

@@ -86,7 +86,9 @@ class ProbeReport:
     """Result of probing the exactness/consistency equivalence.
 
     For an exact tokenizer the probe checks consistency against random
-    distributions plus every point mass; for an inexact one it exhibits a
+    distributions; every point mass is decided by the exactness check,
+    since consistency with the point mass on x is the round-trip row at x
+    being that point mass. For an inexact tokenizer it exhibits a
     point-mass distribution the tokenizer is inconsistent with.
     """
 

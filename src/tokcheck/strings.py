@@ -265,6 +265,22 @@ class Space:
     def strings(self) -> Iterator[Str]:
         return enumerate_strings(self.alphabet, self.max_len)
 
+    def at(self, i: int) -> Str:
+        """The i-th string in canonical order, as `list(self.strings())[i]` without listing."""
+        if not 0 <= i < self.size():
+            raise IndexError(f"index {i} out of range for a space of {self.size()} strings")
+        k = len(self.alphabet)
+        length, count = 0, 1
+        while i >= count:
+            i -= count
+            length += 1
+            count *= k
+        syms = []
+        for _ in range(length):
+            i, digit = divmod(i, k)
+            syms.append(digit)
+        return Str._wrap(self.alphabet, tuple(reversed(syms)))
+
     def __contains__(self, s: Str) -> bool:
         return (
             len(s.syms) <= self.max_len

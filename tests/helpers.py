@@ -1,10 +1,11 @@
 """Shared constructions for the test suite: fixtures' guts and random generators."""
 
+import random
 from fractions import Fraction
 
 import tokcheck as tk
 from tokcheck.dist import random_dist
-from tokcheck.errors import NoMatchingPrefix, ParseError
+from tokcheck.errors import NoMatchingPrefix, ParseError, SpaceMismatch
 
 
 def dist_from(space, items):
@@ -189,3 +190,53 @@ def oracle_eligibility(decoder):
             note = "trivial kernel: false, witness " + token.render()
             return tk.Verdict.failed(token, note + ", token decodes to the empty string")
     return tk.Verdict.passed()
+
+
+def oracle_random_dist(space, rng, max_support=6):
+    """The random distribution drawn by sampling the listed strings of the space."""
+    pool = list(space.strings())
+    k = rng.randint(1, min(max_support, len(pool)))
+    support = rng.sample(pool, k)
+    weights = [rng.randint(1, 9) for _ in support]
+    total = sum(weights)
+    return tk.Dist(space, {s: Fraction(w, total) for s, w in zip(support, weights)})
+
+
+def oracle_is_exact(t):
+    """Exactness by summing the full round-trip row at every domain string."""
+    for sigma in t.char_space.strings():
+        row = {}
+        for delta, pd in t.encoder.kernel[sigma].mass.items():
+            for out, po in t.decoder.kernel[delta].mass.items():
+                row[out] = row.get(out, Fraction(0)) + pd * po
+        if row != {sigma: Fraction(1)}:
+            return tk.Verdict.failed(sigma)
+    return tk.Verdict.passed()
+
+
+def oracle_probe(t, trials=100, seed=0):
+    """The exactness/consistency probe that also pushes every point mass through the round trip."""
+    exact = oracle_is_exact(t)
+    space = t.char_space
+    if exact:
+        rng = random.Random(seed)
+        for _ in range(trials):
+            p = oracle_random_dist(space, rng)
+            v = tk.is_consistent_wrt(t, p)
+            if not v:
+                return tk.ProbeReport(True, trials, False, p, "random distribution not preserved")
+        for x in space.strings():
+            v = tk.is_consistent_wrt(t, tk.point_mass(x, space))
+            if not v:
+                return tk.ProbeReport(True, trials, False, x, "point mass not preserved")
+        return tk.ProbeReport(True, trials, True)
+    sigma = exact.witness
+    inconsistent = not tk.is_consistent_wrt(t, tk.point_mass(sigma, space))
+    return tk.ProbeReport(False, 0, inconsistent, sigma)
+
+
+def oracle_marginalize(t, q, sigma):
+    """Marginal mass of sigma as the sum of q over its preimages."""
+    if q.space != t.token_space:
+        raise SpaceMismatch("distribution must live over the token space")
+    return sum((q.mass_of(delta) for delta in tk.preimages(t, sigma)), Fraction(0))

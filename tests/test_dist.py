@@ -7,7 +7,7 @@ import pytest
 
 import tokcheck as tk
 from tokcheck.errors import EmptySample, OutOfTruncation, SpaceMismatch
-from helpers import dist_from, random_dist
+from helpers import dist_from, oracle_random_dist, random_dist
 
 
 AB = tk.Alphabet(("a", "b"))
@@ -149,3 +149,18 @@ def test_embedded():
     assert q.space == wide and q.mass == p.mass
     with pytest.raises(SpaceMismatch):
         p.embedded(tk.Space(tk.Alphabet(("x",)), 5))
+
+
+def test_random_dist_draws_as_sampling_the_listed_space():
+    for k in range(1, 5):
+        alpha = tk.Alphabet(tuple("abcd"[:k]))
+        for n in range(6):
+            space = tk.Space(alpha, n)
+            for max_support in (1, 3, 6, 40):
+                seed = 1000 * k + 10 * n + max_support
+                fast, slow = random.Random(seed), random.Random(seed)
+                for _ in range(4):
+                    assert random_dist(space, fast, max_support) == oracle_random_dist(
+                        space, slow, max_support
+                    )
+                assert fast.getstate() == slow.getstate()

@@ -152,3 +152,15 @@ def test_parse_str_matches_label_scan(labels, text):
         assert str(got.value) == str(exc)  # names the same position
     else:
         assert tk.parse_str(alphabet, text) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_space_at_is_the_canonical_enumeration(k):
+    alpha = tk.Alphabet(tuple("abcd"[:k]))
+    for n in range(6):
+        space = tk.Space(alpha, n)
+        listed = list(space.strings())
+        assert [space.at(i) for i in range(len(listed))] == listed
+        for i in (-1, len(listed)):
+            with pytest.raises(IndexError):
+                space.at(i)

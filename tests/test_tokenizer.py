@@ -6,14 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tokcheck as tk
-from tokcheck.errors import DecoderNotEligible, EncoderNotDeterministic, NotDeterministic
+import tokcheck.strings
+import tokcheck.tokenizer
+from tokcheck.errors import (
+    AlphabetMismatch,
+    DecoderNotEligible,
+    EncoderNotDeterministic,
+    NotDeterministic,
+    SpaceMismatch,
+)
 from helpers import (
     corrupt_first_unit_row,
     dist_from,
     oracle_eligibility,
+    oracle_is_exact,
+    oracle_marginalize,
     oracle_multiplicative,
     oracle_prefix_monotone,
+    oracle_probe,
+    random_dist,
+    random_map,
     random_open_vocab,
+    tabulated_twin,
     table_map,
 )
 
@@ -350,3 +364,121 @@ def test_structural_verdicts_match_brute_force(t):
     assert report.multiplicative_decoder == oracle_multiplicative(t.decoder)
     assert report.prefix_monotone == oracle_prefix_monotone(t.decoder)
     assert tk.decoder_eligibility(t) == oracle_eligibility(t.decoder)
+
+
+@st.composite
+def probe_tokenizers(draw):
+    """Exact and inexact tokenizers over a random open vocab, texts up to length 0-4.
+
+    Greedy and uniform-segmentation encoders are exact (the second
+    stochastic). A random stochastic encoder, a corrupted decoder row, or a
+    decoder row that keeps half its mass on the right text makes the round
+    trip move some text.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    vocab = random_open_vocab(rng)
+    n = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["munch", "uniform", "random encoder", "corrupted", "split"]))
+    if kind == "uniform":
+        return tk.uniform_tokenizer(vocab, n)
+    if kind in ("corrupted", "split"):
+        t = tk.munch_tokenizer(vocab, max(n, 1))
+        if kind == "corrupted":
+            return corrupt_first_unit_row(t)
+        text = t.char_space.at(draw(st.integers(0, t.char_space.size() - 1)))
+        delta = t.encoder.value_at(text)
+        other = t.decoder.cod_space.at(0 if text.syms else 1)  # ε, or the first character
+        kernel = dict(t.decoder.kernel)
+        half = Fraction(1, 2)
+        kernel[delta] = tk.Dist(t.decoder.cod_space, {text: half, other: half})
+        decoder = tk.StochMap(t.decoder.dom_space, t.decoder.cod_space, kernel)
+        return tk.Tokenizer(t.encoder, decoder)
+    t = tk.munch_tokenizer(vocab, n)
+    if kind == "random encoder":
+        return tk.Tokenizer(random_map(t.char_space, t.token_space, rng), t.decoder)
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(probe_tokenizers(), st.integers(0, 6), st.integers(0, 2**32))
+def test_probe_matches_point_mass_oracle(t, trials, seed):
+    assert tk.is_exact(t) == oracle_is_exact(t)
+    assert tk.exact_iff_all_consistent_probe(t, trials, seed) == oracle_probe(t, trials, seed)
+
+
+def test_probe_matches_point_mass_oracle_on_inexact_tables(fig1, swap):
+    for t, _ in (fig1, swap):
+        for trials, seed in ((0, 0), (50, 7), (100, 123)):
+            report = tk.exact_iff_all_consistent_probe(t, trials, seed)
+            assert report == oracle_probe(t, trials, seed)
+
+
+def test_probe_enumerates_the_char_space_at_most_once(vocab, monkeypatch):
+    """The trials draw without listing the space, and each still pushes through both maps."""
+    t = tk.munch_tokenizer(vocab, 4)
+    enumerate_strings = tokcheck.strings.enumerate_strings
+    pushforward = tokcheck.tokenizer.pushforward
+    enumerated, pushed = [], []
+
+    def counting_enumerate(alphabet, max_len):
+        enumerated.append((alphabet, max_len))
+        return enumerate_strings(alphabet, max_len)
+
+    def counting_pushforward(f, p):
+        pushed.append(f)
+        return pushforward(f, p)
+
+    monkeypatch.setattr(tokcheck.strings, "enumerate_strings", counting_enumerate)
+    monkeypatch.setattr(tokcheck.tokenizer, "pushforward", counting_pushforward)
+    report = tk.exact_iff_all_consistent_probe(t, trials=50, seed=11)
+    assert report.exact and report.ok
+    assert enumerated in ([], [(vocab.sigma, 4)])
+    assert pushed == [t.encoder, t.decoder] * 50
+
+
+def test_marginalize_matches_preimage_sum():
+    """Support scan and preimage walk both against the preimage sum, for greedy and table decoders.
+
+    Queried texts are every text of the char space plus the decodings of q's
+    support, some longer than the char truncation; q ranges from one atom to
+    more than the preimage bound of the shorter texts.
+    """
+    sides = {"scan": 0, "walk": 0, "beyond truncation": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        vocab = random_open_vocab(rng)
+        t = tk.munch_tokenizer(vocab, rng.randint(2, 3))
+        if seed % 2:
+            twin = tabulated_twin(vocab.spellings(), t.token_space, t.decoder.cod_space)
+            t = tk.Tokenizer(t.encoder, twin)
+        q = random_dist(t.token_space, rng, max_support=60)
+        decodings = {t.decoder.value_at(d) for d in q.mass}
+        for sigma in [*t.char_space.strings(), *decodings]:
+            want = oracle_marginalize(t, q, sigma)
+            assert tk.marginalize(t, q, sigma) == want
+            bound = tk.preimage_bound(len(sigma), len(t.token_space.alphabet))
+            sides["scan" if len(q.mass) <= bound else "walk"] += 1
+            if len(sigma) > t.char_space.max_len and want:
+                sides["beyond truncation"] += 1
+    assert all(sides.values()), sides
+
+
+def test_marginalize_error_precedence(fig1, vocab):
+    t, _ = fig1
+    small = dist_from(t.token_space, {"d1": 1})
+    large = dist_from(t.token_space, {"ε": "1/4", "d1": "1/4", "d2": "1/4", "d3": "1/4"})
+    s1 = tk.parse_str(t.char_space.alphabet, "s1")
+    foreign = tk.parse_str(vocab.sigma, "t")
+    munch = tk.munch_tokenizer(vocab, 2)
+    with pytest.raises(SpaceMismatch):
+        tk.marginalize(t, dist_from(munch.token_space, {"t": 1}), foreign)
+    for q in (small, large):  # one atom is scanned, four exceed the bound of s1
+        for sigma in (s1, foreign):
+            with pytest.raises(DecoderNotEligible):
+                tk.marginalize(t, q, sigma)
+    other = tk.parse_str(t.char_space.alphabet, "s2")
+    one, two = {"t": 1}, {"t": "1/2", "h": "1/2"}
+    for q in (dist_from(munch.token_space, one), dist_from(munch.token_space, two)):
+        for sigma in (other, t.char_space.empty()):  # scanned, and walked: ε bounds to 0
+            with pytest.raises(AlphabetMismatch):
+                tk.marginalize(munch, q, sigma)
