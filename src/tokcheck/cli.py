@@ -28,18 +28,18 @@ from .encoders import (
     maximal_munch_encode,
     uniform_segmenter,
 )
-from .errors import DecoderNotEligible, ParseError, TokcheckError
+from .errors import ParseError, TokcheckError
 from .stochmap import StochMap, materialize, pushforward
 from .strings import CHARACTERS, TOKENS, Alphabet, Space, parse_str
 from .tokenizer import (
     Tokenizer,
     classify,
-    decoder_eligibility,
     exact_iff_all_consistent_probe,
     is_exact,
     marginalize,
     preimage_bound,
     preimages,
+    require_eligible_decoder,
 )
 from .transducer import SubseqTransducer, build_maximal_munch_transducer, equivalent_on, run
 
@@ -279,9 +279,7 @@ def _cmd_marginalize(args) -> int:
         print(marginalize(t, q, parse_str(t.char_space.alphabet, args.text)))
         return 0
     # one pushforward of q through the decoder holds the marginal of every text
-    verdict = decoder_eligibility(t)
-    if not verdict:
-        raise DecoderNotEligible(verdict.note or "decoder not eligible")
+    require_eligible_decoder(t)
     decoded = pushforward(t.decoder, q)
     total = Fraction(0)
     for sigma in t.char_space.strings():

@@ -262,11 +262,16 @@ def decoder_eligibility(t: Tokenizer) -> Verdict:
     return verdict
 
 
-def _require_preimage_query(t: Tokenizer, sigma: Str) -> None:
-    """Raise unless the decoder is eligible and sigma is over its output alphabet."""
+def require_eligible_decoder(t: Tokenizer) -> None:
+    """Raise `DecoderNotEligible` unless the decoder is eligible for preimage queries."""
     verdict = decoder_eligibility(t)
     if not verdict:
         raise DecoderNotEligible(verdict.note or "decoder not eligible")
+
+
+def _require_preimage_query(t: Tokenizer, sigma: Str) -> None:
+    """Raise unless the decoder is eligible and sigma is over its output alphabet."""
+    require_eligible_decoder(t)
     if sigma.alphabet != t.char_space.alphabet:
         raise AlphabetMismatch("input text is not over the decoder's output alphabet")
 
@@ -306,16 +311,13 @@ def marginalize(t: Tokenizer, q: Dist, sigma: Str) -> Fraction:
     """Total mass q places on token sequences decoding to sigma.
 
     Under an eligible decoder those sequences are sigma's preimages, and
-    every one of them in q's support lies in the token space. So the mass
-    is found either by decoding each atom of q's support or by walking
-    sigma's preimages, whichever bounds the smaller job: the support scan
-    when q has at most `preimage_bound(len(sigma), |vocab|)` atoms, the walk
-    otherwise. Both give the same value and raise the same errors.
+    every one of them in q's support lies in the token space, so the mass is
+    the sum of q over the atoms of its support whose decoder row is the
+    point mass on sigma. For the empty text that is q(ε) alone, since a
+    trivial kernel decodes only ε to ε.
     """
     if q.space != t.token_space:
         raise SpaceMismatch("distribution must live over the token space")
-    if len(q.mass) > preimage_bound(len(sigma), len(t.token_space.alphabet)):
-        return sum((q.mass_of(delta) for delta in preimages(t, sigma)), Fraction(0))
     _require_preimage_query(t, sigma)
     decoder = t.decoder.kernel
     return sum((m for delta, m in q.mass.items() if sigma in decoder[delta].mass), Fraction(0))
