@@ -28,6 +28,7 @@ from .encoders import (
     concat_decoder,
     decode_tokens,
     maximal_munch_encode,
+    munch_encoder,
     munch_tokenizer,
     segmentations,
     uniform_segmenter,

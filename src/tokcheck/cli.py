@@ -26,6 +26,7 @@ from .encoders import (
     bpe_encode,
     concat_decoder,
     maximal_munch_encode,
+    munch_encoder,
     uniform_segmenter,
 )
 from .errors import ParseError, TokcheckError
@@ -149,14 +150,14 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
         if vocab is None:
             raise ParseError("constructive encoders need a spelling for every vocab entry")
         if enc_type == "maximal_munch":
-            unk = enc_doc.get("unk_token")
-            proc = lambda s: maximal_munch_encode(vocab, s, unk)
+            encoder = munch_encoder(vocab, n, enc_doc.get("unk_token"), m)
         elif enc_type == "bpe":
             merges = MergeList.from_texts(vocab, [tuple(p) for p in enc_doc["merges"]])
             proc = lambda s: bpe_encode(vocab, merges, s)
+            encoder = materialize(proc, char_space, token_space)
         else:
             proc = lambda s: uniform_segmenter(vocab, s)
-        encoder = materialize(proc, char_space, token_space)
+            encoder = materialize(proc, char_space, token_space)
     else:
         raise ParseError(f"unknown encoder type {enc_type!r}")
 

@@ -18,6 +18,7 @@ from .errors import (
     MissingBaseCharacter,
     NoMatchingPrefix,
     NoSegmentation,
+    ProcUndefined,
     TruncationOverflow,
     VocabNotOpen,
 )
@@ -175,6 +176,47 @@ def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None)
     return Str(vocab.delta, out)
 
 
+def munch_encoder(
+    vocab: Vocab, max_len: int, unk_token: str | None = None, out_max_len: int | None = None
+) -> StochMap:
+    """The greedy encoder tabulated over texts of length <= max_len.
+
+    Greedy longest match is sequential: encode(w) = longest_match(w) ·
+    encode(rest), where rest is w past the matched spelling, or past one
+    character that emits unk_token when nothing matches. In canonical order
+    every rest comes before w, so each text costs one `Vocab.longest_match`
+    and one tuple concatenation. The rows equal those of `materialize` over
+    `maximal_munch_encode`, errors included: an unknown unk_token label is a
+    KeyError, and without an unk token the first text no spelling prefixes
+    raises ProcUndefined. Every rest of a text before it was encoded, so
+    that text fails at position 0. The token truncation defaults to
+    max_len; a row longer than an explicit out_max_len raises
+    OutOfTruncation at the first such text.
+    """
+    unk_index = None if unk_token is None else vocab.delta.index(unk_token)
+    char_space = Space(vocab.sigma, max_len)
+    token_space = Space(vocab.delta, max_len if out_max_len is None else out_max_len)
+    spelling_lens = [len(sp) for sp in vocab.spellings()]
+    encodings: dict[tuple[int, ...], tuple[int, ...]] = {}
+    kernel: dict[Str, Dist] = {}
+    for x in char_space.strings():
+        text = x.syms
+        if not text:
+            out: tuple[int, ...] = ()
+        elif (j := vocab.longest_match(text)) is not None:
+            out = (j,) + encodings[text[spelling_lens[j] :]]
+        elif unk_index is not None:
+            out = (unk_index,) + encodings[text[1:]]
+        else:
+            raise ProcUndefined(x, NoMatchingPrefix(0))
+        encodings[text] = out
+        y = Str._wrap(vocab.delta, out)
+        if len(out) > token_space.max_len:
+            token_space.require(y)
+        kernel[x] = Dist._point(y, token_space)
+    return StochMap(char_space, token_space, kernel)
+
+
 def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
     """Merge-based encoding: start from characters, apply merges in list order.
 
@@ -235,15 +277,14 @@ def uniform_segmenter(vocab: Vocab, sigma: Str) -> Dist:
 
 
 def munch_tokenizer(vocab: Vocab, max_len: int, unk_token: str | None = None) -> Tokenizer:
-    """Greedy encoder over texts of length <= max_len with the concatenating decoder."""
+    """Greedy encoder over texts of length <= max_len with the concatenating decoder.
+
+    The encoder is `munch_encoder`'s table, built by the shortest-suffix
+    recurrence rather than by encoding each text from scratch.
+    """
     if unk_token is None and not vocab.is_open:
         raise VocabNotOpen("greedy encoding over the full space needs an open vocabulary")
-    char_space = Space(vocab.sigma, max_len)
-    token_space = Space(vocab.delta, max_len)
-    encoder = materialize(
-        lambda s: maximal_munch_encode(vocab, s, unk_token), char_space, token_space
-    )
-    return Tokenizer(encoder, concat_decoder(vocab, max_len))
+    return Tokenizer(munch_encoder(vocab, max_len, unk_token), concat_decoder(vocab, max_len))
 
 
 def bpe_tokenizer(vocab: Vocab, merges: MergeList, max_len: int) -> Tokenizer:

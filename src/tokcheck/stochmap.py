@@ -46,10 +46,14 @@ class _SpellingKernel(Mapping):
     def __getitem__(self, x: Str) -> Dist:
         if not isinstance(x, Str) or x not in self.dom_space:
             raise KeyError(x)
+        return Dist._point(Str._wrap(self.cod_space.alphabet, self.image(x)), self.cod_space)
+
+    def image(self, x: Str) -> tuple[int, ...]:
+        """The concatenated spelling symbols of a domain string."""
         syms: tuple[int, ...] = ()
         for i in x.syms:
             syms += self._spellings[i]
-        return Dist._point(Str._wrap(self.cod_space.alphabet, syms), self.cod_space)
+        return syms
 
     def __contains__(self, x) -> bool:
         return isinstance(x, Str) and x in self.dom_space
@@ -128,6 +132,19 @@ class StochMap:
         """Kernel rows in canonical domain order."""
         for x in self.dom_space.strings():
             yield x, self.kernel[x]
+
+    def row_is_point(self, x: Str, y: Str) -> bool:
+        """Whether the row at x is the point mass on y.
+
+        A map built from spellings compares y with the concatenated spellings
+        of x, building no row; a tabulated map reads its row.
+        """
+        if self.spellings is None:
+            mass = kernel_at(self, x).mass
+            return len(mass) == 1 and y in mass
+        if x not in self.kernel:
+            raise OutOfDomain(f"{x!r} is outside the map's domain")
+        return y in self.cod_space and self.kernel.image(x) == y.syms
 
     def value_at(self, x: Str) -> Str:
         """The single output of a deterministic row; raises if the row is stochastic."""
@@ -250,9 +267,12 @@ def materialize(
 ) -> StochMap:
     """Tabulate a procedural encoder/decoder over the whole domain space.
 
-    The procedure may return either a string (a deterministic row) or a
-    distribution over the codomain space. Any exception it raises is
-    wrapped as ProcUndefined at the offending input.
+    The procedure is called once per domain string. It may return either a
+    string (a deterministic row, checked once against the codomain space)
+    or a distribution over the codomain space. Any exception it raises is
+    wrapped as ProcUndefined at the offending input. The greedy encoder is
+    not tabulated here: `encoders.munch_encoder` builds its table by the
+    shortest-suffix recurrence.
     """
     kernel: dict[Str, Dist] = {}
     for x in dom_space.strings():
@@ -261,7 +281,8 @@ def materialize(
         except TokcheckError as exc:
             raise ProcUndefined(x, exc) from exc
         if isinstance(out, Str):
-            out = point_mass(out, cod_space)
+            cod_space.require(out)
+            out = Dist._point(out, cod_space)
         elif out.space != cod_space:
             out = out.embedded(cod_space)
         kernel[x] = out

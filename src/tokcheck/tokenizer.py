@@ -69,13 +69,12 @@ def is_exact(t: Tokenizer) -> Verdict:
     A row that encodes to one token sequence decoding to sigma alone is the
     identity without any arithmetic; every other row is summed in full.
     """
-    encoder, decoder = t.encoder.kernel, t.decoder.kernel
+    encoder, decoder = t.encoder.kernel, t.decoder
     for sigma in t.char_space.strings():
         encoded = encoder[sigma].mass
         if len(encoded) == 1:
             (delta,) = encoded
-            decoded = decoder[delta].mass
-            if len(decoded) == 1 and sigma in decoded:
+            if decoder.row_is_point(delta, sigma):
                 continue
         if _roundtrip_row(t, sigma) != {sigma: Fraction(1)}:
             return Verdict.failed(sigma)
@@ -241,23 +240,32 @@ def _eligibility(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
     return Verdict.passed()
 
 
+_ELIGIBLE = Verdict.passed()  # verdicts are immutable, so every passing call shares one
+
+
 def decoder_eligibility(t: Tokenizer) -> Verdict:
     """Eligibility of the decoder for preimage enumeration.
 
     Requires a deterministic decoder that is multiplicative with a trivial
     kernel over its truncated domain. A decoder built from spellings is
-    decided from them; a table decoder's verdict, and its token spellings
-    when eligible, are cached on the tokenizer.
+    decided from them: it is multiplicative once its truncation admits a
+    concatenation, so it is eligible iff that holds and no spelling is
+    empty, and only a failing verdict is built in full. A table decoder's
+    verdict, and its token spellings when eligible, are cached on the
+    tokenizer.
     """
-    if t.decoder.spellings is not None:
-        return _eligibility(t.decoder, None)
+    decoder = t.decoder
+    if decoder.spellings is not None:
+        if decoder.dom_space.max_len >= 2 and all(decoder.spellings):
+            return _ELIGIBLE
+        return _eligibility(decoder, None)
     cached = t._cache.get("eligibility")
     if cached is not None:
         return cached
-    values = _decoder_values(t.decoder)
-    verdict = _eligibility(t.decoder, values)
+    values = _decoder_values(decoder)
+    verdict = _eligibility(decoder, values)
     if verdict:
-        t._cache["spellings"] = _token_images(t.decoder, values)
+        t._cache["spellings"] = _token_images(decoder, values)
     t._cache["eligibility"] = verdict
     return verdict
 
@@ -319,8 +327,10 @@ def marginalize(t: Tokenizer, q: Dist, sigma: Str) -> Fraction:
     if q.space != t.token_space:
         raise SpaceMismatch("distribution must live over the token space")
     _require_preimage_query(t, sigma)
-    decoder = t.decoder.kernel
-    return sum((m for delta, m in q.mass.items() if sigma in decoder[delta].mass), Fraction(0))
+    decoder = t.decoder
+    return sum(
+        (m for delta, m in q.mass.items() if decoder.row_is_point(delta, sigma)), Fraction(0)
+    )
 
 
 def spurious_ambiguity_mass(t: Tokenizer, q: Dist) -> Fraction:

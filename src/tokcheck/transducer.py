@@ -11,11 +11,11 @@ table is an error, not an implicit sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import UndefinedTransition, VocabNotOpen
 from .reports import Verdict
-from .strings import Alphabet, Str, concat, enumerate_strings
+from .strings import Alphabet, Str, concat
 from .encoders import Vocab, maximal_munch_encode
 
 
@@ -84,10 +84,46 @@ def sequential_of(t: SubseqTransducer) -> Verdict:
     return Verdict.passed()
 
 
+def _paths(
+    t: SubseqTransducer, max_len: int
+) -> Iterator[tuple[tuple[int, ...], str, tuple[int, ...]]]:
+    """Every input up to max_len in canonical order, with the end state and path output of its run.
+
+    Inputs are walked level by level, each extending the state and output
+    its one-shorter prefix reached, so each costs one transition; only the
+    level being extended is held, never the last one. Leaving the table
+    raises `UndefinedTransition` when that input is reached.
+    """
+    level = [((), t.initial, ())]
+    yield level[0]
+    for pos in range(max_len):
+        keep = pos + 1 < max_len
+        longer = []
+        for syms, state, out in level:
+            for a in range(len(t.input_alphabet)):
+                key = (state, a)
+                if key not in t.next_state:
+                    raise UndefinedTransition(state, t.input_alphabet.labels[a], pos)
+                reached = (syms + (a,), t.next_state[key], out + t.output[key].syms)
+                yield reached
+                if keep:
+                    longer.append(reached)
+        level = longer
+
+
 def equivalent_on(t: SubseqTransducer, encode: Callable[[Str], Str], max_len: int) -> Verdict:
-    """Compare the transducer against a direct encoder on every input up to max_len."""
-    for gamma in enumerate_strings(t.input_alphabet, max_len):
-        got = run(t, gamma)
+    """Compare the transducer against a direct encoder on every input up to max_len.
+
+    Runs are carried from each input to its one-longer extensions instead
+    of restarting, and inputs are compared in canonical order, so the first
+    mismatch, or the first input that leaves the table, is the same as for
+    a `run` of every input.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    for syms, state, out in _paths(t, max_len):
+        gamma = Str._wrap(t.input_alphabet, syms)
+        got = Str._wrap(t.output_alphabet, out + t.terminal[state].syms)
         want = encode(gamma)
         if got != want:
             return Verdict.failed((gamma, got, want))

@@ -240,3 +240,13 @@ def oracle_marginalize(t, q, sigma):
     if q.space != t.token_space:
         raise SpaceMismatch("distribution must live over the token space")
     return sum((q.mass_of(delta) for delta in tk.preimages(t, sigma)), Fraction(0))
+
+
+def oracle_equivalent_on(t, encode, max_len):
+    """Transducer against a direct encoder by a full `run` of every input in canonical order."""
+    for gamma in tk.enumerate_strings(t.input_alphabet, max_len):
+        got = tk.run(t, gamma)
+        want = encode(gamma)
+        if got != want:
+            return tk.Verdict.failed((gamma, got, want))
+    return tk.Verdict.passed()

@@ -1,7 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tokcheck as tk
 from tokcheck.errors import UndefinedTransition, VocabNotOpen
+from helpers import oracle_equivalent_on, random_open_vocab
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +149,70 @@ def test_run_map_has_stable_variation_across_truncations(machine, vocab):
         f = tk.materialize(lambda g: tk.run(machine, g), dom, cod)
         measured.append([tk.bounded_variation_probe(f, k)[0] for k in range(4)])
     assert measured[0] == measured[1] == measured[2] == [0, 2, 3, 4]
+
+
+def equivalence_outcome(check, machine, encode, max_len):
+    """A verdict, or the state, symbol and position of the transition a run left the table at."""
+    try:
+        return check(machine, encode, max_len)
+    except UndefinedTransition as exc:
+        return (exc.state, exc.symbol, exc.position, str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equivalent_on_matches_run_by_run_oracle(data):
+    """Greedy transducers, whole or with transitions dropped and outputs or terminals altered."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    vocab = random_open_vocab(rng, max_sigma=3, max_spelling=3, max_extras=4)
+    machine = tk.build_maximal_munch_transducer(vocab)
+    keys = sorted(machine.next_state)
+    dropped = set(data.draw(st.lists(st.sampled_from(keys), max_size=2)))
+    altered = set(data.draw(st.lists(st.sampled_from(keys), max_size=2)))
+    token_strings = st.lists(st.integers(0, len(vocab.delta) - 1), max_size=2).map(
+        lambda syms: tk.Str(vocab.delta, syms)
+    )
+    output = {
+        key: data.draw(token_strings) if key in altered else out
+        for key, out in machine.output.items()
+        if key not in dropped
+    }
+    terminal = dict(machine.terminal)
+    if data.draw(st.booleans()):
+        terminal[data.draw(st.sampled_from(machine.states))] = data.draw(token_strings)
+    variant = tk.SubseqTransducer(
+        states=machine.states,
+        input_alphabet=machine.input_alphabet,
+        output_alphabet=machine.output_alphabet,
+        initial=machine.initial,
+        next_state={key: q for key, q in machine.next_state.items() if key not in dropped},
+        output=output,
+        terminal=terminal,
+    )
+    encode = lambda s: tk.maximal_munch_encode(vocab, s)
+    max_len = data.draw(st.integers(0, 5))
+    assert equivalence_outcome(tk.equivalent_on, variant, encode, max_len) == equivalence_outcome(
+        oracle_equivalent_on, variant, encode, max_len
+    )
+
+
+def test_equivalent_on_reports_a_mismatch_before_a_later_sibling_leaves_the_table(machine, vocab):
+    # from state t: "th" gets a wrong output and "te" has no transition
+    output = {key: out for key, out in machine.output.items() if key != ("t", 2)}
+    output[("t", 1)] = tk.parse_str(vocab.delta, "t|h")
+    variant = tk.SubseqTransducer(
+        states=machine.states,
+        input_alphabet=machine.input_alphabet,
+        output_alphabet=machine.output_alphabet,
+        initial=machine.initial,
+        next_state={key: q for key, q in machine.next_state.items() if key != ("t", 2)},
+        output=output,
+        terminal=machine.terminal,
+    )
+    encode = lambda s: tk.maximal_munch_encode(vocab, s)
+    verdict = tk.equivalent_on(variant, encode, 3)
+    assert verdict == oracle_equivalent_on(variant, encode, 3)
+    assert verdict.witness[0] == tk.parse_str(vocab.sigma, "th")
+    with pytest.raises(UndefinedTransition) as info:
+        tk.equivalent_on(variant, lambda s: tk.run(variant, s), 3)
+    assert (info.value.state, info.value.symbol, info.value.position) == ("t", "e", 1)
