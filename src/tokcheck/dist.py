@@ -9,6 +9,7 @@ denominator of the masses, so draws are exact and bit-reproducible.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -146,7 +147,9 @@ def sample(p: Dist, seed: int, n: int) -> list[Str]:
     """Draw n i.i.d. strings from p, reproducibly for a given seed.
 
     Inverse CDF over the canonical support order, with integer draws below
-    the common denominator of the masses, so selection involves no floats.
+    the common denominator of the masses, so selection involves no floats:
+    a draw r selects the first support string whose cumulative count
+    exceeds r.
     """
     if n < 0:
         raise ValueError("sample count must be >= 0")
@@ -158,18 +161,7 @@ def sample(p: Dist, seed: int, n: int) -> list[Str]:
         acc += int(p.mass[s] * denom)
         cuts.append(acc)
     rng = random.Random(seed)
-    draws = []
-    for _ in range(n):
-        r = rng.randrange(denom)
-        lo, hi = 0, len(cuts) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if r < cuts[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        draws.append(support[lo])
-    return draws
+    return [support[bisect.bisect_right(cuts, rng.randrange(denom))] for _ in range(n)]
 
 
 def empirical(samples: Iterable[Str], space: Space) -> Dist:

@@ -198,7 +198,7 @@ def munch_encoder(
     token_space = Space(vocab.delta, max_len if out_max_len is None else out_max_len)
     spelling_lens = [len(sp) for sp in vocab.spellings()]
     encodings: dict[tuple[int, ...], tuple[int, ...]] = {}
-    kernel: dict[Str, Dist] = {}
+    rows: dict[Str, Str] = {}
     for x in char_space.strings():
         text = x.syms
         if not text:
@@ -213,8 +213,8 @@ def munch_encoder(
         y = Str._wrap(vocab.delta, out)
         if len(out) > token_space.max_len:
             token_space.require(y)
-        kernel[x] = Dist._point(y, token_space)
-    return StochMap(char_space, token_space, kernel)
+        rows[x] = y
+    return StochMap(char_space, token_space, rows)
 
 
 def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:

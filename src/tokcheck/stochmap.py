@@ -1,13 +1,12 @@
 """Finite-domain stochastic maps: kernels, composition, pushforward, predicates.
 
 A map assigns a distribution over the codomain space to every string of its
-domain space. Kernels are stored sparsely (positive masses only) and are
-total: construction fails unless every domain string has a row. A map fixed
-by one spelling per domain symbol, the monoid homomorphism that
-concatenates them (such as the concatenating decoder), stores only its
-spellings: its kernel computes each row on lookup. Composition is
-row-column summation; with exact rational masses the row sums stay exactly
-1.
+domain space, and must have a row at each. A deterministic map stores only
+its values, and its kernel builds each point mass on lookup; the monoid
+homomorphism fixed by one spelling per domain symbol (such as the
+concatenating decoder) stores only the spellings. Other kernels are stored
+sparsely (positive masses only). Composition is row-column summation; with
+exact rational masses the row sums stay exactly 1.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from .reports import Verdict
 from .strings import Space, Str
 
 
-class _SpellingKernel(Mapping):
-    """Read-only rows of the homomorphism fixed by one spelling per domain symbol.
+class _SpellingValues(Mapping):
+    """Read-only values of the homomorphism fixed by one spelling per domain symbol.
 
-    A row is the point mass on the concatenated spellings, computed on each
-    lookup and never stored. Keys are the domain strings in canonical order.
+    A value is the concatenated spellings, computed on each lookup and never
+    stored. Keys are the domain strings in canonical order.
     """
 
     __slots__ = ("dom_space", "cod_space", "_spellings")
@@ -43,10 +42,10 @@ class _SpellingKernel(Mapping):
         self.cod_space = cod_space
         self._spellings = tuple(sp.syms for sp in spellings)
 
-    def __getitem__(self, x: Str) -> Dist:
+    def __getitem__(self, x: Str) -> Str:
         if not isinstance(x, Str) or x not in self.dom_space:
             raise KeyError(x)
-        return Dist._point(Str._wrap(self.cod_space.alphabet, self.image(x)), self.cod_space)
+        return Str._wrap(self.cod_space.alphabet, self.image(x))
 
     def image(self, x: Str) -> tuple[int, ...]:
         """The concatenated spelling symbols of a domain string."""
@@ -65,28 +64,58 @@ class _SpellingKernel(Mapping):
         return self.dom_space.size()
 
 
+class _PointKernel(Mapping):
+    """Read-only rows of a deterministic map: the point mass on each value, built on lookup."""
+
+    def __init__(self, values: Mapping[Str, Str], cod_space: Space):
+        self._values = values
+        self._cod_space = cod_space
+
+    def __getitem__(self, x: Str) -> Dist:
+        return Dist._point(self._values[x], self._cod_space)
+
+    def __iter__(self) -> Iterator[Str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
 class StochMap:
     """A total map from a truncated domain space to distributions over a codomain space.
 
-    `spellings` is None for a tabulated map. For a map built by
-    `from_spellings` it holds the image of each domain symbol, which fixes
-    every row.
+    Rows are given as distributions, or as strings for point masses. `values`
+    holds each row's output if all rows are point masses, else None;
+    `spellings`, set by `from_spellings`, holds each domain symbol's image.
     """
 
-    __slots__ = ("dom_space", "cod_space", "kernel", "spellings")
+    __slots__ = ("dom_space", "cod_space", "kernel", "values", "spellings")
 
-    def __init__(self, dom_space: Space, cod_space: Space, kernel: dict[Str, Dist]):
-        if len(kernel) != dom_space.size():
+    def __init__(self, dom_space: Space, cod_space: Space, rows: Mapping[Str, Str | Dist]):
+        if len(rows) != dom_space.size():
             raise ValueError(
-                f"kernel has {len(kernel)} rows but the domain has {dom_space.size()} strings"
+                f"kernel has {len(rows)} rows but the domain has {dom_space.size()} strings"
             )
-        for x, row in kernel.items():
+        values: dict[Str, Str] | None = {}
+        for x, row in rows.items():
             dom_space.require(x)
-            if not isinstance(row, Dist) or row.space != cod_space:
+            if isinstance(row, Str):
+                cod_space.require(row)
+                values[x] = row
+            elif not isinstance(row, Dist) or row.space != cod_space:
                 raise SpaceMismatch(f"row at {x!r} is not a distribution over the codomain space")
+            elif len(row.mass) == 1:
+                (values[x],) = row.mass
+        kernel = _PointKernel(values, cod_space)
+        if len(values) < len(rows):  # a stochastic row: keep every row as a distribution
+            values = None
+            kernel = {
+                x: Dist._point(r, cod_space) if isinstance(r, Str) else r for x, r in rows.items()
+            }
         object.__setattr__(self, "dom_space", dom_space)
         object.__setattr__(self, "cod_space", cod_space)
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "spellings", None)
 
     @classmethod
@@ -112,7 +141,8 @@ class StochMap:
         f = object.__new__(cls)
         object.__setattr__(f, "dom_space", dom_space)
         object.__setattr__(f, "cod_space", cod_space)
-        object.__setattr__(f, "kernel", _SpellingKernel(dom_space, cod_space, spellings))
+        object.__setattr__(f, "values", _SpellingValues(dom_space, cod_space, spellings))
+        object.__setattr__(f, "kernel", _PointKernel(f.values, cod_space))
         object.__setattr__(f, "spellings", spellings)
         return f
 
@@ -137,14 +167,14 @@ class StochMap:
         """Whether the row at x is the point mass on y.
 
         A map built from spellings compares y with the concatenated spellings
-        of x, building no row; a tabulated map reads its row.
+        of x, building no row; any other map reads its row.
         """
         if self.spellings is None:
             mass = kernel_at(self, x).mass
             return len(mass) == 1 and y in mass
-        if x not in self.kernel:
+        if x not in self.values:
             raise OutOfDomain(f"{x!r} is outside the map's domain")
-        return y in self.cod_space and self.kernel.image(x) == y.syms
+        return y in self.cod_space and self.values.image(x) == y.syms
 
     def value_at(self, x: Str) -> Str:
         """The single output of a deterministic row; raises if the row is stochastic."""
@@ -202,16 +232,13 @@ def support_of(f: StochMap) -> set[Str]:
 def is_deterministic(f: StochMap) -> Verdict:
     """True iff every row is a point mass; witness is the first stochastic row.
 
-    Rows are scanned in kernel order; canonical order is needed only to pick
-    the witness among the stochastic rows, so a passing check sorts nothing.
-    A map built from spellings is deterministic by construction.
+    A map stores values exactly when every row is a point mass, so only a
+    failing check scans the rows, in kernel order, and picks the canonical
+    minimum among the stochastic ones.
     """
-    if f.spellings is not None:
+    if f.values is not None:
         return Verdict.passed()
-    stochastic = [x for x, row in f.kernel.items() if len(row.mass) != 1]
-    if not stochastic:
-        return Verdict.passed()
-    x = min(stochastic, key=Str.sort_key)
+    x = min((x for x, row in f.kernel.items() if len(row.mass) != 1), key=Str.sort_key)
     return Verdict.failed(x, f"row has support size {len(f.kernel[x].mass)}")
 
 
@@ -268,13 +295,13 @@ def materialize(
     """Tabulate a procedural encoder/decoder over the whole domain space.
 
     The procedure is called once per domain string. It may return either a
-    string (a deterministic row, checked once against the codomain space)
-    or a distribution over the codomain space. Any exception it raises is
+    string (a deterministic row, checked on return against the codomain
+    space) or a distribution over it. Any exception it raises is
     wrapped as ProcUndefined at the offending input. The greedy encoder is
     not tabulated here: `encoders.munch_encoder` builds its table by the
     shortest-suffix recurrence.
     """
-    kernel: dict[Str, Dist] = {}
+    rows: dict[Str, Str | Dist] = {}
     for x in dom_space.strings():
         try:
             out = proc(x)
@@ -282,8 +309,7 @@ def materialize(
             raise ProcUndefined(x, exc) from exc
         if isinstance(out, Str):
             cod_space.require(out)
-            out = Dist._point(out, cod_space)
         elif out.space != cod_space:
             out = out.embedded(cod_space)
-        kernel[x] = out
-    return StochMap(dom_space, cod_space, kernel)
+        rows[x] = out
+    return StochMap(dom_space, cod_space, rows)

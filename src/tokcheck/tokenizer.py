@@ -12,7 +12,7 @@ ambiguity mass, and the bounded-variation probe.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,17 +25,16 @@ from .errors import (
     SpaceMismatch,
 )
 from .reports import ClassificationReport, ProbeReport, Verdict
-from .stochmap import StochMap, is_deterministic, pushforward, support_of
+from .stochmap import StochMap, is_deterministic, pushforward
 from .strings import Str, concat, enumerate_strings, factorizations, is_prefix, left_distance
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Tokenizer:
     """An encoder from texts to token sequences paired with a decoder back."""
 
     encoder: StochMap
     decoder: StochMap
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.encoder.cod_space != self.decoder.dom_space:
@@ -66,16 +65,13 @@ def _roundtrip_row(t: Tokenizer, sigma: Str) -> dict[Str, Fraction]:
 def is_exact(t: Tokenizer) -> Verdict:
     """True iff decode after encode is the identity on every domain string.
 
-    A row that encodes to one token sequence decoding to sigma alone is the
+    A deterministic encoder's row whose value decodes to sigma alone is the
     identity without any arithmetic; every other row is summed in full.
     """
-    encoder, decoder = t.encoder.kernel, t.decoder
+    values, decoder = t.encoder.values, t.decoder
     for sigma in t.char_space.strings():
-        encoded = encoder[sigma].mass
-        if len(encoded) == 1:
-            (delta,) = encoded
-            if decoder.row_is_point(delta, sigma):
-                continue
+        if values is not None and decoder.row_is_point(values[sigma], sigma):
+            continue
         if _roundtrip_row(t, sigma) != {sigma: Fraction(1)}:
             return Verdict.failed(sigma)
     return Verdict.passed()
@@ -121,25 +117,15 @@ def exact_iff_all_consistent_probe(t: Tokenizer, trials: int = 100, seed: int = 
     return ProbeReport(False, 0, inconsistent, sigma)
 
 
-def _decoder_values(decoder: StochMap) -> dict[Str, Str] | None:
-    """Point values of a deterministic table decoder, or None if any row is stochastic."""
-    values = {}
-    for x, row in decoder.kernel.items():
-        if len(row.mass) != 1:
-            return None
-        values[x] = next(iter(row.mass))
-    return values
-
-
-def _token_images(decoder: StochMap, values: dict[Str, Str] | None) -> Sequence[Str]:
-    """The decoded value of each one-token sequence, in token order."""
+def _token_images(decoder: StochMap) -> Sequence[Str]:
+    """The decoded value of each one-token sequence of a deterministic decoder, in token order."""
     if decoder.spellings is not None:
         return decoder.spellings
     alpha = decoder.dom_space.alphabet
-    return [values[Str(alpha, (i,))] for i in range(len(alpha))]
+    return [decoder.values[Str(alpha, (i,))] for i in range(len(alpha))]
 
 
-def _multiplicative_verdict(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
+def _multiplicative_verdict(decoder: StochMap) -> Verdict:
     """Whether f(u·v) = f(u)·f(v) for every pair with |u| + |v| <= m.
 
     A decoder built from spellings is a homomorphism, so this holds by
@@ -156,7 +142,8 @@ def _multiplicative_verdict(decoder: StochMap, values: dict[Str, Str] | None) ->
     report. Values are compared as symbol tuples, and only the rows of
     length below m, the right factors, are indexed by them.
     """
-    if values is None and decoder.spellings is None:
+    values = decoder.values
+    if values is None:
         return Verdict.not_applicable("decoder is stochastic")
     m = decoder.dom_space.max_len
     if m < 2:
@@ -172,19 +159,20 @@ def _multiplicative_verdict(decoder: StochMap, values: dict[Str, Str] | None) ->
     return Verdict.failed((Str(alpha, first[:1]), Str(alpha, first[1:])))
 
 
-def _trivial_kernel_verdict(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
-    if values is None and decoder.spellings is None:
+def _trivial_kernel_verdict(decoder: StochMap) -> Verdict:
+    if decoder.values is None:
         return Verdict.not_applicable("decoder is stochastic")
     if decoder.dom_space.max_len == 0:
         return Verdict.not_applicable("truncation admits no token")
     alpha = decoder.dom_space.alphabet
-    for i, image in enumerate(_token_images(decoder, values)):
+    for i, image in enumerate(_token_images(decoder)):
         if len(image) == 0:
             return Verdict.failed(Str(alpha, (i,)), "token decodes to the empty string")
     return Verdict.passed()
 
 
-def _prefix_monotone_verdict(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
+def _prefix_monotone_verdict(decoder: StochMap) -> Verdict:
+    values = decoder.values
     if values is None:
         return Verdict.not_applicable("decoder is stochastic")
     alpha = decoder.dom_space.alphabet
@@ -209,32 +197,31 @@ def classify(t: Tokenizer) -> ClassificationReport:
     else:
         bijective = Verdict.failed(exact.witness, "not exact")
     homomorphism = t.decoder.spellings is not None
-    values = None if homomorphism else _decoder_values(t.decoder)
-    multiplicative = _multiplicative_verdict(t.decoder, values)
+    multiplicative = _multiplicative_verdict(t.decoder)
     # f(δ) = f(prefix)·f(rest) makes every multiplicative decoder prefix monotone,
     # and a decoder built from spellings at every truncation
     prefix_monotone = (
         Verdict.passed()
         if homomorphism or multiplicative
-        else _prefix_monotone_verdict(t.decoder, values)
+        else _prefix_monotone_verdict(t.decoder)
     )
     return ClassificationReport(
         deterministic_encoder=det_enc,
         deterministic_decoder=det_dec,
         bijective=bijective,
         multiplicative_decoder=multiplicative,
-        trivial_kernel=_trivial_kernel_verdict(t.decoder, values),
+        trivial_kernel=_trivial_kernel_verdict(t.decoder),
         prefix_monotone=prefix_monotone,
     )
 
 
-def _eligibility(decoder: StochMap, values: dict[Str, Str] | None) -> Verdict:
-    if values is None and decoder.spellings is None:
+def _eligibility(decoder: StochMap) -> Verdict:
+    if decoder.values is None:
         return Verdict.failed(None, "decoder is stochastic")
-    mult = _multiplicative_verdict(decoder, values)
+    mult = _multiplicative_verdict(decoder)
     if not mult:
         return Verdict.failed(mult.witness, f"multiplicativity: {mult.describe()}")
-    triv = _trivial_kernel_verdict(decoder, values)
+    triv = _trivial_kernel_verdict(decoder)
     if not triv:
         return Verdict.failed(triv.witness, f"trivial kernel: {triv.describe()}")
     return Verdict.passed()
@@ -250,24 +237,13 @@ def decoder_eligibility(t: Tokenizer) -> Verdict:
     kernel over its truncated domain. A decoder built from spellings is
     decided from them: it is multiplicative once its truncation admits a
     concatenation, so it is eligible iff that holds and no spelling is
-    empty, and only a failing verdict is built in full. A table decoder's
-    verdict, and its token spellings when eligible, are cached on the
-    tokenizer.
+    empty, and only a failing verdict is built in full. A table decoder is
+    decided from its values on every call.
     """
-    decoder = t.decoder
-    if decoder.spellings is not None:
-        if decoder.dom_space.max_len >= 2 and all(decoder.spellings):
-            return _ELIGIBLE
-        return _eligibility(decoder, None)
-    cached = t._cache.get("eligibility")
-    if cached is not None:
-        return cached
-    values = _decoder_values(decoder)
-    verdict = _eligibility(decoder, values)
-    if verdict:
-        t._cache["spellings"] = _token_images(decoder, values)
-    t._cache["eligibility"] = verdict
-    return verdict
+    spellings = t.decoder.spellings
+    if spellings is not None and t.decoder.dom_space.max_len >= 2 and all(spellings):
+        return _ELIGIBLE
+    return _eligibility(t.decoder)
 
 
 def require_eligible_decoder(t: Tokenizer) -> None:
@@ -293,10 +269,7 @@ def preimages(t: Tokenizer, sigma: Str) -> list[Str]:
     Results in canonical order.
     """
     _require_preimage_query(t, sigma)
-    spellings = t.decoder.spellings
-    if spellings is None:
-        spellings = t._cache["spellings"]
-    pieces = [s.syms for s in spellings]
+    pieces = [s.syms for s in _token_images(t.decoder)]
     max_tokens = min(len(sigma), t.token_space.max_len)
     token_alpha = t.token_space.alphabet
     return [
@@ -339,7 +312,7 @@ def spurious_ambiguity_mass(t: Tokenizer, q: Dist) -> Fraction:
         raise EncoderNotDeterministic("spurious ambiguity is defined for deterministic encoders")
     if q.space != t.token_space:
         raise SpaceMismatch("distribution must live over the token space")
-    image = support_of(t.encoder)
+    image = set(t.encoder.values.values())
     return sum((m for delta, m in q.mass.items() if delta not in image), Fraction(0))
 
 
@@ -352,9 +325,9 @@ def bounded_variation_probe(f: StochMap, k: int) -> tuple[int, tuple[Str, Str]]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    values = _decoder_values(f)
-    if values is None:
+    if f.values is None:
         raise NotDeterministic("bounded variation probe requires a deterministic map")
+    values = dict(f.values)  # a spelling map computes each value on lookup; read each once
     alpha = f.dom_space.alphabet
     m = f.dom_space.max_len
     suffixes = _strings_by_length(alpha, min(k, m))

@@ -26,5 +26,5 @@ def sigma(vocab):
 
 @pytest.fixture(scope="session")
 def munch6(vocab):
-    """Greedy tokenizer over texts of length up to 6 (shared; checkers cache on it)."""
+    """Greedy tokenizer over texts of length up to 6, shared across tests."""
     return tk.munch_tokenizer(vocab, 6)

@@ -1,5 +1,6 @@
 """Shared constructions for the test suite: fixtures' guts and random generators."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -250,3 +251,27 @@ def oracle_equivalent_on(t, encode, max_len):
         if got != want:
             return tk.Verdict.failed((gamma, got, want))
     return tk.Verdict.passed()
+
+
+def oracle_sample(p, seed, n):
+    """Inverse-CDF sampling by a hand-written binary search over the cumulative counts."""
+    support = p.support()
+    denom = math.lcm(*(p.mass[s].denominator for s in support))
+    cuts = []
+    acc = 0
+    for s in support:
+        acc += int(p.mass[s] * denom)
+        cuts.append(acc)
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        r = rng.randrange(denom)
+        lo, hi = 0, len(cuts) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if r < cuts[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        draws.append(support[lo])
+    return draws

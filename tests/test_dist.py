@@ -7,7 +7,7 @@ import pytest
 
 import tokcheck as tk
 from tokcheck.errors import EmptySample, OutOfTruncation, SpaceMismatch
-from helpers import dist_from, oracle_random_dist, random_dist
+from helpers import dist_from, oracle_random_dist, oracle_sample, random_dist
 
 
 AB = tk.Alphabet(("a", "b"))
@@ -164,3 +164,26 @@ def test_random_dist_draws_as_sampling_the_listed_space():
                         space, slow, max_support
                     )
                 assert fast.getstate() == slow.getstate()
+
+
+def test_sample_matches_binary_search_oracle():
+    rng = random.Random(8)
+    space = tk.Space(AB, 4)
+    pool = list(space.strings())
+    cases = [tk.point_mass(x, space) for x in (pool[0], pool[7], pool[-1])]  # single atoms
+    for k in (2, 3, 7, len(pool)):  # equal masses: every cut is a multiple of 1/k
+        cases.append(tk.Dist(space, {s: Fraction(1, k) for s in rng.sample(pool, k)}))
+    primes = (3, 5, 7, 11, 13, 2**61 - 1)  # pairwise coprime: the common denominator is large
+    masses = [Fraction(1, q) for q in primes]
+    support = rng.sample(pool, len(primes) + 1)
+    cases.append(tk.Dist(space, {**dict(zip(support, masses)), support[-1]: 1 - sum(masses)}))
+    for _ in range(20):
+        support = rng.sample(pool, rng.randint(1, len(pool)))
+        weights = [rng.randint(1, 10**12) for _ in support]
+        cases.append(tk.Dist(space, {s: Fraction(w, sum(weights)) for s, w in zip(support, weights)}))
+    for _ in range(20):
+        cases.append(random_dist(space, rng, max_support=len(pool)))
+    for p in cases:
+        for seed in (0, 1, rng.getrandbits(32)):
+            assert tk.sample(p, seed, 300) == oracle_sample(p, seed, 300)
+    assert tk.sample(cases[0], 5, 0) == oracle_sample(cases[0], 5, 0) == []
