@@ -36,7 +36,6 @@ from .tokenizer import (
     Tokenizer,
     classify,
     exact_iff_all_consistent_probe,
-    is_exact,
     marginalize,
     preimage_bound,
     preimages,
@@ -230,24 +229,17 @@ def transducer_from_json(doc: dict, sigma: Alphabet, delta: Alphabet) -> SubseqT
         raise ParseError(f"bad transducer document: {exc}") from exc
 
 
-def _cmd_check(args) -> int:
-    bundle = load_spec(args.spec, args.max_len)
+def _cmd_check(args, bundle: SpecBundle) -> int:
     t = bundle.tokenizer
-    exact = is_exact(t)
     report = classify(t)
     probe = exact_iff_all_consistent_probe(t, trials=args.trials, seed=args.seed)
+    # the probe's exactness is `is_exact`'s verdict, its counterexample that verdict's witness
+    exact = probe.exact
     if args.json:
         doc = {
-            "exact": bool(exact),
-            "witness": None if exact else exact.witness.render(),
-            "classification": {
-                "deterministic_encoder": report.deterministic_encoder.ok,
-                "deterministic_decoder": report.deterministic_decoder.ok,
-                "bijective": report.bijective.ok,
-                "multiplicative_decoder": report.multiplicative_decoder.ok,
-                "trivial_kernel": report.trivial_kernel.ok,
-                "prefix_monotone": report.prefix_monotone.ok,
-            },
+            "exact": exact,
+            "witness": None if exact else probe.counterexample.render(),
+            "classification": {name: v.ok for name, v in report.verdicts()},
             "probe": probe.describe(),
         }
         print(json.dumps(doc, ensure_ascii=False))
@@ -255,15 +247,14 @@ def _cmd_check(args) -> int:
         if exact:
             print("exact: true")
         else:
-            print(f"exact: false, witness {exact.witness.render()}")
+            print(f"exact: false, witness {probe.counterexample.render()}")
         for line in report.lines():
             print(line)
         print(f"probe: {probe.describe()}")
     return 0 if exact else 1
 
 
-def _cmd_preimages(args) -> int:
-    bundle = load_spec(args.spec, args.max_len)
+def _cmd_preimages(args, bundle: SpecBundle) -> int:
     t = bundle.tokenizer
     sigma = parse_str(t.char_space.alphabet, args.text)
     for delta in preimages(t, sigma):
@@ -272,8 +263,7 @@ def _cmd_preimages(args) -> int:
     return 0
 
 
-def _cmd_marginalize(args) -> int:
-    bundle = load_spec(args.spec, args.max_len)
+def _cmd_marginalize(args, bundle: SpecBundle) -> int:
     t = bundle.tokenizer
     q = load_dist(args.dist, t.token_space)
     if args.text is not None:
@@ -292,8 +282,7 @@ def _cmd_marginalize(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    bundle = load_spec(args.spec, args.max_len)
+def _cmd_simulate(args, bundle: SpecBundle) -> int:
     t = bundle.tokenizer
     p_star = load_dist(args.dist, t.char_space)
     summary = sim.run_estimation(t, p_star, args.schedule, seed=args.seed)
@@ -304,8 +293,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_transduce(args) -> int:
-    bundle = load_spec(args.spec, args.max_len)
+def _cmd_transduce(args, bundle: SpecBundle) -> int:
     if bundle.vocab is None:
         raise ParseError("transduce needs a vocabulary with spellings")
     vocab = bundle.vocab
@@ -406,7 +394,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_spec(args.spec, args.max_len))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -166,11 +167,8 @@ def sample(p: Dist, seed: int, n: int) -> list[Str]:
 
 def empirical(samples: Iterable[Str], space: Space) -> Dist:
     """Relative-frequency distribution of the samples (the MLE over the space)."""
-    counts: dict[Str, int] = {}
-    total = 0
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
-        total += 1
+    counts = Counter(samples)
+    total = counts.total()
     if total == 0:
         raise EmptySample("cannot estimate from an empty sample")
     return Dist(space, {s: Fraction(c, total) for s, c in counts.items()})

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 
@@ -28,7 +28,7 @@ class Verdict:
 
     @staticmethod
     def passed(note: str = "") -> "Verdict":
-        return Verdict(True, None, note)
+        return Verdict(True, None, note) if note else _PASSED
 
     @staticmethod
     def failed(witness: Any, note: str = "") -> "Verdict":
@@ -51,6 +51,9 @@ class Verdict:
         return ", ".join(parts)
 
 
+_PASSED = Verdict(True)  # verdicts are immutable, so every pass without a note shares one
+
+
 def _show(value: Any) -> str:
     if hasattr(value, "render"):
         return value.render()
@@ -70,15 +73,12 @@ class ClassificationReport:
     trivial_kernel: Verdict
     prefix_monotone: Verdict
 
+    def verdicts(self) -> list[tuple[str, Verdict]]:
+        """Each verdict with its field name, in declaration order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+
     def lines(self) -> list[str]:
-        return [
-            f"deterministic encoder: {self.deterministic_encoder.describe()}",
-            f"deterministic decoder: {self.deterministic_decoder.describe()}",
-            f"bijective: {self.bijective.describe()}",
-            f"multiplicative decoder: {self.multiplicative_decoder.describe()}",
-            f"trivial kernel: {self.trivial_kernel.describe()}",
-            f"prefix monotone: {self.prefix_monotone.describe()}",
-        ]
+        return [f"{name.replace('_', ' ')}: {v.describe()}" for name, v in self.verdicts()]
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ class ProbeReport:
     distributions; every point mass is decided by the exactness check,
     since consistency with the point mass on x is the round-trip row at x
     being that point mass. For an inexact tokenizer it exhibits a
-    point-mass distribution the tokenizer is inconsistent with.
+    point-mass distribution the tokenizer is inconsistent with: exact is the
+    exactness verdict, and counterexample is then its witness.
     """
 
     exact: bool

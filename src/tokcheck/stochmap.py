@@ -246,29 +246,26 @@ def is_injective(f: StochMap) -> Verdict:
     """True iff distinct inputs have disjoint row supports.
 
     The witness is the first colliding triple (x, x', y) with (x, x') minimal
-    in canonical pair order.
+    in canonical pair order and y the least output the two rows share. One
+    pass over the rows in canonical order records each output's first
+    holder. If x and x' share y and an earlier row also holds y, the pair
+    (that row, x) comes first, so the minimal pair's first member is the
+    first holder of every output it shares: of the pairs (first holder, x')
+    met at collisions, the one with the earliest holder, and for that holder
+    the earliest x', is the minimal pair.
     """
-    first_hit: dict[Str, Str] = {}
-    collided = False
-    for x, row in f.rows():
+    first_holder: dict[Str, tuple[int, Str]] = {}
+    best: tuple[int, Str, Str] | None = None
+    for rank, (x, row) in enumerate(f.rows()):
         for y in row.mass:
-            if y in first_hit and first_hit[y] != x:
-                collided = True
-                break
-            first_hit[y] = x
-        if collided:
-            break
-    if not collided:
+            held = first_holder.setdefault(y, (rank, x))
+            if held[0] < rank and (best is None or held[0] < best[0]):
+                best = (*held, x)
+    if best is None:
         return Verdict.passed()
-    ordered = [x for x, _ in f.rows()]
-    supports = {x: frozenset(f.kernel[x].mass) for x in ordered}
-    for i, x in enumerate(ordered):
-        for xp in ordered[i + 1 :]:
-            overlap = supports[x] & supports[xp]
-            if overlap:
-                y = min(overlap, key=Str.sort_key)
-                return Verdict.failed((x, xp, y))
-    raise AssertionError("collision detected but no witness found")
+    _, x, xp = best
+    shared = f.kernel[x].mass.keys() & f.kernel[xp].mass.keys()
+    return Verdict.failed((x, xp, min(shared, key=Str.sort_key)))
 
 
 def is_surjective(f: StochMap, onto: Space | None = None) -> Verdict:

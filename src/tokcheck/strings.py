@@ -211,27 +211,25 @@ def factorizations(
 ) -> list[tuple[int, ...]]:
     """Every sequence of at most max_parts piece indices whose pieces concatenate to target.
 
-    Depth-first over the piece list, trying only pieces that prefix the
-    remaining suffix. Pieces may repeat; each index is tried on its own.
-    Results in canonical order (length first, then lexicographic).
+    Walks level by level over the number of parts: each unfinished
+    factorization is extended, in piece-index order, by every piece that
+    prefixes the rest of the target, and a finished one is never extended.
+    Each level is then lexicographic and levels come shortest first, so
+    results are in canonical order (length first, then lexicographic) as
+    they are found. Pieces may repeat; each index is tried on its own.
     """
     found: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def walk(pos: int) -> None:
-        if pos == len(target):
-            found.append(tuple(stack))
-            return
-        if len(stack) >= max_parts:
-            return
-        for j, piece in enumerate(pieces):
-            if target[pos : pos + len(piece)] == piece:
-                stack.append(j)
-                walk(pos + len(piece))
-                stack.pop()
-
-    walk(0)
-    found.sort(key=lambda parts: (len(parts), parts))
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while level:
+        longer = []
+        for parts, pos in level:
+            if pos == len(target):
+                found.append(parts)
+            elif len(parts) < max_parts:
+                for j, piece in enumerate(pieces):
+                    if target[pos : pos + len(piece)] == piece:
+                        longer.append((parts + (j,), pos + len(piece)))
+        level = longer
     return found
 
 

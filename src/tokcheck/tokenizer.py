@@ -196,14 +196,10 @@ def classify(t: Tokenizer) -> ClassificationReport:
         bijective = Verdict.failed(det_enc.witness, "encoder is stochastic")
     else:
         bijective = Verdict.failed(exact.witness, "not exact")
-    homomorphism = t.decoder.spellings is not None
     multiplicative = _multiplicative_verdict(t.decoder)
-    # f(δ) = f(prefix)·f(rest) makes every multiplicative decoder prefix monotone,
-    # and a decoder built from spellings at every truncation
+    # f(δ) = f(prefix)·f(rest) makes every multiplicative decoder prefix monotone
     prefix_monotone = (
-        Verdict.passed()
-        if homomorphism or multiplicative
-        else _prefix_monotone_verdict(t.decoder)
+        Verdict.passed() if multiplicative else _prefix_monotone_verdict(t.decoder)
     )
     return ClassificationReport(
         deterministic_encoder=det_enc,
@@ -213,21 +209,6 @@ def classify(t: Tokenizer) -> ClassificationReport:
         trivial_kernel=_trivial_kernel_verdict(t.decoder),
         prefix_monotone=prefix_monotone,
     )
-
-
-def _eligibility(decoder: StochMap) -> Verdict:
-    if decoder.values is None:
-        return Verdict.failed(None, "decoder is stochastic")
-    mult = _multiplicative_verdict(decoder)
-    if not mult:
-        return Verdict.failed(mult.witness, f"multiplicativity: {mult.describe()}")
-    triv = _trivial_kernel_verdict(decoder)
-    if not triv:
-        return Verdict.failed(triv.witness, f"trivial kernel: {triv.describe()}")
-    return Verdict.passed()
-
-
-_ELIGIBLE = Verdict.passed()  # verdicts are immutable, so every passing call shares one
 
 
 def decoder_eligibility(t: Tokenizer) -> Verdict:
@@ -240,10 +221,19 @@ def decoder_eligibility(t: Tokenizer) -> Verdict:
     empty, and only a failing verdict is built in full. A table decoder is
     decided from its values on every call.
     """
-    spellings = t.decoder.spellings
-    if spellings is not None and t.decoder.dom_space.max_len >= 2 and all(spellings):
-        return _ELIGIBLE
-    return _eligibility(t.decoder)
+    decoder = t.decoder
+    spellings = decoder.spellings
+    if spellings is not None and decoder.dom_space.max_len >= 2 and all(spellings):
+        return Verdict.passed()
+    if decoder.values is None:
+        return Verdict.failed(None, "decoder is stochastic")
+    mult = _multiplicative_verdict(decoder)
+    if not mult:
+        return Verdict.failed(mult.witness, f"multiplicativity: {mult.describe()}")
+    triv = _trivial_kernel_verdict(decoder)
+    if not triv:
+        return Verdict.failed(triv.witness, f"trivial kernel: {triv.describe()}")
+    return Verdict.passed()
 
 
 def require_eligible_decoder(t: Tokenizer) -> None:

@@ -275,3 +275,49 @@ def oracle_sample(p, seed, n):
                 lo = mid + 1
         draws.append(support[lo])
     return draws
+
+
+def oracle_factorizations(target, pieces, max_parts):
+    """Factorizations by a depth-first walk over the piece list, sorted into canonical order."""
+    found = []
+    stack = []
+
+    def walk(pos):
+        if pos == len(target):
+            found.append(tuple(stack))
+            return
+        if len(stack) >= max_parts:
+            return
+        for j, piece in enumerate(pieces):
+            if target[pos : pos + len(piece)] == piece:
+                stack.append(j)
+                walk(pos + len(piece))
+                stack.pop()
+
+    walk(0)
+    found.sort(key=lambda parts: (len(parts), parts))
+    return found
+
+
+def oracle_is_injective(f):
+    """Injectivity by a first pass that detects a collision and a scan of every pair of rows."""
+    first_hit = {}
+    collided = False
+    for x, row in f.rows():
+        for y in row.mass:
+            if y in first_hit and first_hit[y] != x:
+                collided = True
+                break
+            first_hit[y] = x
+        if collided:
+            break
+    if not collided:
+        return tk.Verdict.passed()
+    ordered = [x for x, _ in f.rows()]
+    supports = {x: frozenset(f.kernel[x].mass) for x in ordered}
+    for i, x in enumerate(ordered):
+        for xp in ordered[i + 1 :]:
+            overlap = supports[x] & supports[xp]
+            if overlap:
+                return tk.Verdict.failed((x, xp, min(overlap, key=tk.Str.sort_key)))
+    raise AssertionError("collision detected but no witness found")
