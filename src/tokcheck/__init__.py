@@ -18,6 +18,7 @@ from .dist import (
     l1_distance,
     point_mass,
     sample,
+    sample_counts,
     tv_distance,
 )
 from .encoders import (

@@ -5,6 +5,7 @@ distributions is decidable and distance computations are exact. Floats
 appear only in `kl_divergence`. Sampling uses the stdlib Mersenne Twister
 (`random.Random`) seeded explicitly, drawing integers below the common
 denominator of the masses, so draws are exact and bit-reproducible.
+`sample_counts` tallies the same draws as `sample` without listing them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptySample, SpaceMismatch
 from .strings import Space, Str
@@ -88,9 +90,12 @@ class EstimatorTrace:
     target: Dist
 
     def __post_init__(self):
-        counts = [n for n, _ in self.steps]
-        if any(b <= a for a, b in zip(counts, counts[1:])):
-            raise ValueError("sample counts must be strictly increasing")
+        _require_increasing([n for n, _ in self.steps])
+
+
+def _require_increasing(counts: Sequence[int]) -> None:
+    if any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ValueError("sample counts must be strictly increasing")
 
 
 def point_mass(x: Str, space: Space) -> Dist:
@@ -144,6 +149,18 @@ def kl_divergence(p: Dist, q: Dist) -> float:
     return total
 
 
+def _inverse_cdf(p: Dist) -> tuple[list[Str], int, list[int]]:
+    """Support in canonical order, the common denominator, and cumulative counts below it."""
+    support = p.support()
+    denom = math.lcm(*(p.mass[s].denominator for s in support))
+    cuts = []
+    acc = 0
+    for s in support:
+        acc += int(p.mass[s] * denom)
+        cuts.append(acc)
+    return support, denom, cuts
+
+
 def sample(p: Dist, seed: int, n: int) -> list[Str]:
     """Draw n i.i.d. strings from p, reproducibly for a given seed.
 
@@ -154,15 +171,38 @@ def sample(p: Dist, seed: int, n: int) -> list[Str]:
     """
     if n < 0:
         raise ValueError("sample count must be >= 0")
-    support = p.support()
-    denom = math.lcm(*(p.mass[s].denominator for s in support))
-    cuts = []
-    acc = 0
-    for s in support:
-        acc += int(p.mass[s] * denom)
-        cuts.append(acc)
+    support, denom, cuts = _inverse_cdf(p)
     rng = random.Random(seed)
     return [support[bisect.bisect_right(cuts, rng.randrange(denom))] for _ in range(n)]
+
+
+def sample_counts(p: Dist, seed: int, n: int) -> list[int]:
+    """How many of `sample(p, seed, n)`'s draws land on each support string, in canonical order.
+
+    `randrange(denom)` draws `getrandbits(k)`, k = denom.bit_length(), until
+    a value below denom comes up. This makes the same calls, in C, and
+    counts the raw values: each round asks for as many values as accepted
+    draws are still missing, so the stream is never read past the n-th
+    accepted draw. Rejected values are dropped at the end, and each distinct
+    accepted value is mapped to its support string by one bisection.
+    """
+    if n < 0:
+        raise ValueError("sample count must be >= 0")
+    support, denom, cuts = _inverse_cdf(p)
+    getrandbits = random.Random(seed).getrandbits
+    k = denom.bit_length()
+    rounds = []
+    need = n
+    while need:
+        raw = Counter(map(getrandbits, repeat(k, need)))
+        need = sum(c for r, c in raw.items() if r >= denom)
+        rounds.append(raw)
+    counts = [0] * len(support)
+    for raw in rounds:
+        for r, c in raw.items():
+            if r < denom:
+                counts[bisect.bisect_right(cuts, r)] += c
+    return counts
 
 
 def empirical(samples: Iterable[Str], space: Space) -> Dist:

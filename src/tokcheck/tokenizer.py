@@ -244,10 +244,16 @@ def require_eligible_decoder(t: Tokenizer) -> None:
 
 
 def _require_preimage_query(t: Tokenizer, sigma: Str) -> None:
-    """Raise unless the decoder is eligible and sigma is over its output alphabet."""
+    """Raise unless the decoder is eligible and sigma is a text of the character space.
+
+    A text longer than the character truncation lies outside the spaces the
+    tokenizer is defined on, and the token truncation may cut off some of its
+    preimages, so it is refused rather than answered in part.
+    """
     require_eligible_decoder(t)
     if sigma.alphabet != t.char_space.alphabet:
         raise AlphabetMismatch("input text is not over the decoder's output alphabet")
+    t.char_space.require(sigma)
 
 
 def preimages(t: Tokenizer, sigma: Str) -> list[Str]:

@@ -277,6 +277,27 @@ def oracle_sample(p, seed, n):
     return draws
 
 
+def oracle_run_estimation(t, p_star, schedule, seed=0):
+    """Every step sampled in full: sample, empirical, encoder and decoder pushforwards, TV.
+
+    The bias pushes p_star through both maps.
+    """
+    target = p_star.embedded(t.decoder.cod_space)
+    steps, tvs = [], []
+    for n in schedule:
+        estimate = tk.empirical(tk.sample(p_star, seed ^ n, n), p_star.space)
+        decoded = tk.pushforward(t.decoder, tk.pushforward(t.encoder, estimate))
+        steps.append((n, decoded))
+        tvs.append(tk.tv_distance(decoded, target))
+    decoded = tk.pushforward(t.decoder, tk.pushforward(t.encoder, p_star))
+    return tk.SimSummary(
+        tk.EstimatorTrace(tuple(steps), target),
+        tuple(tvs),
+        tk.tv_distance(decoded, target),
+        tk.sim.CONVERGENCE_TOLERANCE,
+    )
+
+
 def oracle_factorizations(target, pieces, max_parts):
     """Factorizations by a depth-first walk over the piece list, sorted into canonical order."""
     found = []

@@ -113,6 +113,21 @@ def test_preimages_empty_text(capsys):
     assert out.strip().splitlines() == ["ε", "bound: 0"]
 
 
+def test_preimages_text_beyond_truncation(capsys):
+    # at --max-len 2 the split t|h|e is outside the token space: refused, not answered in part
+    code, out, err = run_cli(
+        capsys, "preimages", DATA / "the_vocab.json", "--max-len", "2", "--text", "the"
+    )
+    assert code == 2
+    assert out == ""
+    assert "OutOfTruncation" in err and "> truncation 2" in err
+    code, out, _ = run_cli(
+        capsys, "preimages", DATA / "the_vocab.json", "--max-len", "2", "--text", "th"
+    )
+    assert code == 0
+    assert out.strip().splitlines() == ["th", "t|h", "bound: 30"]
+
+
 def test_preimages_not_eligible(capsys):
     code, _, err = run_cli(capsys, "preimages", DATA / "fig1.json", "--text", "s1")
     assert code == 2
@@ -150,6 +165,16 @@ def test_marginalize_off_support(capsys):
     assert out.strip() == "0"
 
 
+def test_marginalize_text_beyond_truncation(capsys):
+    code, out, err = run_cli(
+        capsys, "marginalize", DATA / "the_vocab.json", DATA / "the_qdist.json",
+        "--text", "thet", "--max-len", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "OutOfTruncation" in err and "> truncation 3" in err
+
+
 def test_simulate_fig1(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", DATA / "fig1.json", DATA / "fig1_pstar.json",
@@ -169,6 +194,33 @@ def test_simulate_exact_spec_zero_bias(capsys):
     )
     assert code == 0
     assert "bias: 0" in out
+
+
+def test_simulate_output_is_pinned(capsys):
+    """Full output for fixed seeds: any change to the draws changes these lines."""
+    code, out, _ = run_cli(
+        capsys, "simulate", DATA / "fig1.json", DATA / "fig1_pstar.json",
+        "--schedule", "100,1000,10000", "--seed", "7",
+    )
+    assert code == 0
+    assert out == (
+        "100\t41/100\t0.410000\n"
+        "1000\t199/500\t0.398000\n"
+        "10000\t252/625\t0.403200\n"
+        "bias: 2/5\n"
+        "converged: false (tolerance 1/20)\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "simulate", DATA / "the_vocab.json", DATA / "the_pstar.json", "--max-len", "3"
+    )
+    assert code == 0
+    assert out == (
+        "100\t1/150\t0.006667\n"
+        "1000\t11/1500\t0.007333\n"
+        "10000\t14/1875\t0.007467\n"
+        "bias: 0\n"
+        "converged: false (tolerance 1/20)\n"
+    )
 
 
 def test_simulate_missing_dist(capsys):

@@ -187,3 +187,74 @@ def test_sample_matches_binary_search_oracle():
         for seed in (0, 1, rng.getrandbits(32)):
             assert tk.sample(p, seed, 300) == oracle_sample(p, seed, 300)
     assert tk.sample(cases[0], 5, 0) == oracle_sample(cases[0], 5, 0) == []
+
+
+def _two_atoms(space, d, rng):
+    """Masses 1/d and (d-1)/d on two random strings: the common denominator is d."""
+    x, y = rng.sample(list(space.strings()), 2)
+    return tk.Dist(space, {x: Fraction(1, d), y: Fraction(d - 1, d)})
+
+
+def test_sample_counts_match_counted_sample():
+    rng = random.Random(12)
+    space = tk.Space(AB, 4)
+    pool = list(space.strings())
+    denominators = {
+        1: [1],
+        8: [200, 2**7],
+        32: [2**31 + 11],
+        33: [2**32 + 15, 2**32],
+        61: [2**61 - 1],
+        65: [2**64],
+        89: [2**88 + 7],
+    }
+    cases = [tk.point_mass(pool[5], space)]
+    for bits, ds in denominators.items():
+        for d in ds:
+            if d > 1:
+                cases.append(_two_atoms(space, d, rng))
+            weights = [rng.randint(1, 9) for _ in range(rng.randint(3, 8))]
+            # weights summing to a power of two: the common denominator is one too
+            weights.append(2 ** math.ceil(math.log2(sum(weights) + 1)) - sum(weights))
+            total = sum(weights)
+            support = rng.sample(pool, len(weights))
+            cases.append(tk.Dist(space, {s: Fraction(w, total) for s, w in zip(support, weights)}))
+    got_bits = set()
+    for p in cases:
+        support = p.support()
+        got_bits.add(math.lcm(*(m.denominator for m in p.mass.values())).bit_length())
+        for seed in (0, 1, rng.getrandbits(40)):
+            for n in (0, 1, 2, 37, 500):
+                want = Counter(tk.sample(p, seed, n))
+                assert tk.sample_counts(p, seed, n) == [want[s] for s in support]
+    assert set(denominators) <= got_bits
+
+
+def test_sample_counts_read_as_many_bits_as_randrange(monkeypatch):
+    """The generator ends in the state that n calls of randrange leave, so no value is wasted."""
+    made = []
+    plain = random.Random
+
+    class Recording(plain):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    rng = random.Random(3)
+    space = tk.Space(AB, 4)
+    monkeypatch.setattr(tk.dist.random, "Random", Recording)
+    for d in (1, 2, 3, 2**7, 200, 2**32 + 15, 2**64, 2**88 + 7):
+        p = _two_atoms(space, d, rng) if d > 1 else tk.point_mass(space.empty(), space)
+        for n in (0, 1, 9, 300):
+            tk.sample_counts(p, 17, n)
+            (drawn,) = made
+            made.clear()
+            ref = plain(17)
+            for _ in range(n):
+                ref.randrange(d)
+            assert drawn.getstate() == ref.getstate()
+
+
+def test_sample_counts_rejects_negative_count():
+    with pytest.raises(ValueError, match="sample count must be >= 0"):
+        tk.sample_counts(tk.point_mass(SP.empty(), SP), 0, -1)

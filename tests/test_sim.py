@@ -1,11 +1,23 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tokcheck as tk
-from tokcheck.errors import EmptySample
-from helpers import dist_from
+import tokcheck.sim
+from tokcheck.errors import EmptySample, SpaceMismatch
+from helpers import (
+    dist_from,
+    fig1_pieces,
+    oracle_run_estimation,
+    random_dist,
+    random_map,
+    swap_pieces,
+    the_vocab,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +77,85 @@ def test_trace_records_schedule(fig1):
     assert [n for n, _ in summary.trace.steps] == [10, 100]
     assert summary.trace.target == p_star.embedded(t.decoder.cod_space)
     assert len(summary.rows()) == 2
+
+
+def _random_table_tokenizer(rng):
+    sigma = tk.Alphabet(tuple("xyz"[: rng.randint(1, 3)]))
+    delta = tk.Alphabet(tuple("abc"[: rng.randint(1, 3)]), tk.TOKENS)
+    m = rng.randint(1, 2)
+    chars, tokens = tk.Space(sigma, m), tk.Space(delta, rng.randint(1, 2))
+    outputs = tk.Space(sigma, rng.randint(m, 3))
+    encoder = random_map(chars, tokens, rng, max_support=3)
+    return tk.Tokenizer(encoder, random_map(tokens, outputs, rng, max_support=3))
+
+
+def _estimation_case(kind, case_seed):
+    """A tokenizer of the given kind and a target over its texts, both drawn from case_seed."""
+    rng = random.Random(case_seed)
+    if kind == "greedy":
+        t = tk.munch_tokenizer(the_vocab(), rng.randint(1, 3))
+    elif kind == "uniform":
+        t = tk.uniform_tokenizer(the_vocab(), rng.randint(1, 3))
+    elif kind == "table":
+        t = _random_table_tokenizer(rng)
+    else:
+        t, p_star = fig1_pieces() if kind == "fig1" else swap_pieces()
+        if rng.random() < 0.5:
+            return t, p_star
+    return t, random_dist(t.char_space, rng, max_support=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["greedy", "uniform", "fig1", "swap", "table"]),
+    st.integers(0, 2**32),
+    st.lists(st.integers(1, 600), min_size=1, max_size=4, unique=True).map(sorted),
+    st.integers(0, 2**40),
+)
+@example("fig1", 0, [1], 0)
+@example("uniform", 3, [1, 2, 600], 7)
+@example("table", 5, [1, 40], 2**40)
+def test_run_estimation_matches_oracle(kind, case_seed, schedule, seed):
+    t, p_star = _estimation_case(kind, case_seed)
+    want = oracle_run_estimation(t, p_star, schedule, seed)
+    assert tk.run_estimation(t, p_star, schedule, seed) == want  # every step Dist, TV and the bias
+    assert tk.bias(t, p_star) == want.bias
+
+
+def test_empty_schedule_is_refused(fig1):
+    t, p_star = fig1
+    with pytest.raises(ValueError, match="at least one sample count"):
+        tk.run_estimation(t, p_star, ())
+
+
+@pytest.mark.parametrize(
+    "schedule, error, message",
+    [
+        ((100000, 5), ValueError, "strictly increasing"),
+        ((10, 10), ValueError, "strictly increasing"),
+        ((5, 3, -1, 0), ValueError, "sample count must be >= 0"),
+        ((5, 3, 0, -1), EmptySample, "empty sample"),
+        ((-2, 0), ValueError, "sample count must be >= 0"),
+    ],
+)
+def test_schedule_checked_before_any_draw(fig1, monkeypatch, schedule, error, message):
+    """The error drawing the steps in order would raise, raised before the first draw."""
+    t, p_star = fig1
+    with pytest.raises(error, match=message):
+        oracle_run_estimation(t, p_star, schedule)
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking the schedule")
+
+    monkeypatch.setattr(tokcheck.sim, "sample_counts", no_draws)
+    with pytest.raises(error, match=message):
+        tk.run_estimation(t, p_star, schedule)
+
+
+def test_space_mismatch_precedes_schedule_check(fig1, swap):
+    t, _ = fig1
+    _, other = swap
+    with pytest.raises(SpaceMismatch):
+        tk.run_estimation(t, other, ())
+    with pytest.raises(SpaceMismatch):
+        tk.bias(t, other)

@@ -13,6 +13,7 @@ from tokcheck.errors import (
     DecoderNotEligible,
     EncoderNotDeterministic,
     NotDeterministic,
+    OutOfTruncation,
     SpaceMismatch,
 )
 from helpers import (
@@ -298,7 +299,11 @@ def spelling_decoder(spellings, max_len, rows):
 
 def test_preimages_with_repeated_spelling():
     # a and b both decode to x: still deterministic, multiplicative, trivial kernel
-    t = with_empty_encoder(spelling_decoder(["x", "x", "y"], 2, {}))
+    decoder = spelling_decoder(["x", "x", "y"], 2, {})
+    texts = tk.Space(XY, 2)
+    # the encoder spells x as a and y as c
+    rows = {w: tk.Str(ABC, tuple(2 * i for i in w.syms)) for w in texts.strings()}
+    t = tk.Tokenizer(tk.StochMap(texts, decoder.dom_space, rows), decoder)
     assert tk.decoder_eligibility(t)
 
     def rendered(text):
@@ -307,7 +312,8 @@ def test_preimages_with_repeated_spelling():
     assert rendered("x") == ["a", "b"]
     assert rendered("xy") == ["a|c", "b|c"]
     assert rendered("xx") == ["a|a", "a|b", "b|a", "b|b"]
-    assert rendered("xxx") == []  # three tokens exceed the truncation
+    with pytest.raises(OutOfTruncation):  # longer than the character truncation
+        rendered("xxx")
 
 
 def test_multiplicativity_witness_when_empty_row_is_nonempty():
@@ -440,8 +446,9 @@ def test_marginalize_matches_preimage_sum():
     """The support scan against the preimage sum, for greedy and table decoders.
 
     Queried texts are every text of the char space, ε included, plus the
-    decodings of q's support, some longer than the char truncation; q ranges
-    from one atom to more than the preimage bound of the shorter texts.
+    decodings of q's support, some longer than the char truncation, which
+    both refuse; q ranges from one atom to more than the preimage bound of
+    the shorter texts.
     """
     seen = {"q above the bound": 0, "beyond truncation": 0}
     for seed in range(40):
@@ -454,12 +461,15 @@ def test_marginalize_matches_preimage_sum():
         q = random_dist(t.token_space, rng, max_support=60)
         decodings = {t.decoder.value_at(d) for d in q.mass}
         for sigma in [*t.char_space.strings(), *decodings]:
-            want = oracle_marginalize(t, q, sigma)
-            assert tk.marginalize(t, q, sigma) == want
+            if len(sigma) > t.char_space.max_len:
+                for query in (tk.marginalize, oracle_marginalize):
+                    with pytest.raises(OutOfTruncation):
+                        query(t, q, sigma)
+                seen["beyond truncation"] += 1
+                continue
+            assert tk.marginalize(t, q, sigma) == oracle_marginalize(t, q, sigma)
             if len(q.mass) > tk.preimage_bound(len(sigma), len(t.token_space.alphabet)):
                 seen["q above the bound"] += 1
-            if len(sigma) > t.char_space.max_len and want:
-                seen["beyond truncation"] += 1
     assert all(seen.values()), seen
 
 
