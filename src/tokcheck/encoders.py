@@ -34,15 +34,19 @@ class Vocab:
     Spellings are nonempty strings over the character alphabet; labels and
     spellings are each pairwise distinct. The vocabulary is open when every
     single character appears as a spelling, which guarantees greedy
-    encoding always finds a match. Every spelling lookup goes through one
-    index from spelling symbols to token index.
+    encoding always finds a match. Exact spelling lookups go through one
+    index from spelling symbols to token index; longest matches walk a
+    trie of the spellings, built once, whose nodes map a symbol to the
+    child node and the token spelled by the path so far, or None.
     """
 
     sigma: Alphabet
     entries: tuple[tuple[str, Str], ...]
     delta: Alphabet = field(init=False, compare=False)
     max_spelling_len: int = field(init=False, compare=False)
+    spelling_lens: tuple[int, ...] = field(init=False, compare=False)
     _by_spelling: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _trie: dict[int, tuple[dict, int | None]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -60,9 +64,18 @@ class Vocab:
         by_spelling = {sp.syms: j for j, sp in enumerate(spellings)}
         if len(by_spelling) != len(spellings):
             raise ValueError("spellings must be distinct")
+        trie: dict[int, tuple[dict, int | None]] = {}
+        for syms, j in by_spelling.items():
+            node = trie
+            for c in syms[:-1]:
+                node = node.setdefault(c, ({}, None))[0]
+            node[syms[-1]] = (node.get(syms[-1], ({}, None))[0], j)
+        spelling_lens = tuple(len(sp) for sp in spellings)
         object.__setattr__(self, "delta", Alphabet(tuple(labels), TOKENS))
-        object.__setattr__(self, "max_spelling_len", max(len(sp) for sp in spellings))
+        object.__setattr__(self, "max_spelling_len", max(spelling_lens))
+        object.__setattr__(self, "spelling_lens", spelling_lens)
         object.__setattr__(self, "_by_spelling", by_spelling)
+        object.__setattr__(self, "_trie", trie)
 
     @classmethod
     def from_texts(cls, sigma: Alphabet, pairs: Sequence[tuple[str, str]]) -> "Vocab":
@@ -80,13 +93,23 @@ class Vocab:
     def longest_match(self, syms: tuple[int, ...], pos: int = 0) -> int | None:
         """The token whose spelling is the longest prefix of syms[pos:], or None.
 
-        The longest match is unique because spellings are distinct.
+        One walk down the spelling trie from the root, one lookup per
+        matched symbol: it keeps the last token it passes and stops at the
+        first symbol with no child, so it never reads past the longest
+        spelling. The longest match is unique because spellings are
+        distinct.
         """
-        for n in range(min(self.max_spelling_len, len(syms) - pos), 0, -1):
-            j = self._by_spelling.get(syms[pos : pos + n])
+        node, found = self._trie, None
+        end = len(syms)
+        while pos < end:
+            step = node.get(syms[pos])
+            if step is None:
+                break
+            node, j = step
             if j is not None:
-                return j
-        return None
+                found = j
+            pos += 1
+        return found
 
     @property
     def is_open(self) -> bool:
@@ -150,10 +173,12 @@ def concat_decoder(vocab: Vocab, max_tokens: int, out_max_len: int | None = None
 def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None) -> Str:
     """Greedy encoding: repeatedly consume the longest spelling prefixing the rest.
 
-    Each step is one `Vocab.longest_match`. With unk_token set, a position
-    no spelling matches consumes one character and emits that token (a
-    lossy fallback that breaks exactness); otherwise such a position is an
-    error.
+    Each step is one `Vocab.longest_match`, a walk of the spelling trie.
+    With unk_token set, a position no spelling matches consumes one
+    character and emits that token (a lossy fallback that breaks
+    exactness); otherwise such a position is an error. Every emitted index
+    is a token of the vocabulary, so the result is built without
+    re-checking it.
     """
     if sigma.alphabet != vocab.sigma:
         raise ValueError("input is not over the vocabulary's character alphabet")
@@ -161,9 +186,11 @@ def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None)
     if unk_token is not None:
         unk_index = vocab.delta.index(unk_token)
     text = sigma.syms
+    end = len(text)
+    lens = vocab.spelling_lens
     out: list[int] = []
     pos = 0
-    while pos < len(text):
+    while pos < end:
         j = vocab.longest_match(text, pos)
         if j is None:
             if unk_index is None:
@@ -172,8 +199,8 @@ def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None)
             pos += 1
         else:
             out.append(j)
-            pos += len(vocab.spelling(j))
-    return Str(vocab.delta, out)
+            pos += lens[j]
+    return Str._wrap(vocab.delta, tuple(out))
 
 
 def munch_encoder(
@@ -196,7 +223,7 @@ def munch_encoder(
     unk_index = None if unk_token is None else vocab.delta.index(unk_token)
     char_space = Space(vocab.sigma, max_len)
     token_space = Space(vocab.delta, max_len if out_max_len is None else out_max_len)
-    spelling_lens = [len(sp) for sp in vocab.spellings()]
+    spelling_lens = vocab.spelling_lens
     encodings: dict[tuple[int, ...], tuple[int, ...]] = {}
     rows: dict[Str, Str] = {}
     for x in char_space.strings():
@@ -214,7 +241,7 @@ def munch_encoder(
         if len(out) > token_space.max_len:
             token_space.require(y)
         rows[x] = y
-    return StochMap(char_space, token_space, rows)
+    return StochMap._of_values(char_space, token_space, rows)
 
 
 def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:

@@ -106,17 +106,27 @@ class StochMap:
                 raise SpaceMismatch(f"row at {x!r} is not a distribution over the codomain space")
             elif len(row.mass) == 1:
                 (values[x],) = row.mass
-        kernel = _PointKernel(values, cod_space)
         if len(values) < len(rows):  # a stochastic row: keep every row as a distribution
-            values = None
             kernel = {
                 x: Dist._point(r, cod_space) if isinstance(r, Str) else r for x, r in rows.items()
             }
+            self._fill(dom_space, cod_space, kernel, None, None)
+        else:
+            self._fill(dom_space, cod_space, _PointKernel(values, cod_space), values, None)
+
+    def _fill(self, dom_space, cod_space, kernel, values, spellings) -> None:
         object.__setattr__(self, "dom_space", dom_space)
         object.__setattr__(self, "cod_space", cod_space)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "spellings", None)
+        object.__setattr__(self, "spellings", spellings)
+
+    @classmethod
+    def _of_values(cls, dom_space: Space, cod_space: Space, values: dict[Str, Str]) -> StochMap:
+        # fast path for tabulators: keys are the domain in canonical order, values lie in cod_space
+        f = object.__new__(cls)
+        f._fill(dom_space, cod_space, _PointKernel(values, cod_space), values, None)
+        return f
 
     @classmethod
     def from_spellings(
@@ -138,12 +148,9 @@ class StochMap:
         reach = dom_space.max_len * max(len(sp) for sp in spellings)
         if reach > cod_space.max_len:
             raise OutOfTruncation(f"rows reach length {reach} > truncation {cod_space.max_len}")
+        values = _SpellingValues(dom_space, cod_space, spellings)
         f = object.__new__(cls)
-        object.__setattr__(f, "dom_space", dom_space)
-        object.__setattr__(f, "cod_space", cod_space)
-        object.__setattr__(f, "values", _SpellingValues(dom_space, cod_space, spellings))
-        object.__setattr__(f, "kernel", _PointKernel(f.values, cod_space))
-        object.__setattr__(f, "spellings", spellings)
+        f._fill(dom_space, cod_space, _PointKernel(values, cod_space), values, spellings)
         return f
 
     def __setattr__(self, name, value):

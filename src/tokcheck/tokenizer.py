@@ -126,7 +126,7 @@ def _token_images(decoder: StochMap) -> Sequence[Str]:
 
 
 def _multiplicative_verdict(decoder: StochMap) -> Verdict:
-    """Whether f(u·v) = f(u)·f(v) for every pair with |u| + |v| <= m.
+    """Whether f(u·v) = f(u)·f(v) for every pair with |u| + |v| <= m, at every m.
 
     A decoder built from spellings is a homomorphism, so this holds by
     construction. For a table decoder only left factors of length at most 1
@@ -139,17 +139,17 @@ def _multiplicative_verdict(decoder: StochMap) -> Verdict:
     canonical pair order (left, then right, each by length and then
     lexicographically). The witness, the first failing checked pair in that
     order, is therefore the first (left, right) pair a full scan would
-    report. Values are compared as symbol tuples, and only the rows of
-    length below m, the right factors, are indexed by them.
+    report. Values are compared as symbol tuples, and only the rows that
+    can be factors, those of length below max(m, 2), are indexed by them.
+    Below m = 2 the only pairs are (ε, x) and (x, ε), so the property is
+    f(ε) = ε; `classify` reports it as not applicable there.
     """
     values = decoder.values
     if values is None:
         return Verdict.not_applicable("decoder is stochastic")
-    m = decoder.dom_space.max_len
-    if m < 2:
-        return Verdict.not_applicable("truncation admits no nonempty concatenation")
     if decoder.spellings is not None:
         return Verdict.passed()
+    m = max(decoder.dom_space.max_len, 2)
     short = {x.syms: y.syms for x, y in values.items() if len(x) < m}
     failed = [x.syms for x, y in values.items() if y.syms != short[x.syms[:1]] + short[x.syms[1:]]]
     if not failed:
@@ -197,6 +197,8 @@ def classify(t: Tokenizer) -> ClassificationReport:
     else:
         bijective = Verdict.failed(exact.witness, "not exact")
     multiplicative = _multiplicative_verdict(t.decoder)
+    if multiplicative.applicable and t.decoder.dom_space.max_len < 2:
+        multiplicative = Verdict.not_applicable("truncation admits no nonempty concatenation")
     # f(δ) = f(prefix)·f(rest) makes every multiplicative decoder prefix monotone
     prefix_monotone = (
         Verdict.passed() if multiplicative else _prefix_monotone_verdict(t.decoder)
@@ -215,15 +217,15 @@ def decoder_eligibility(t: Tokenizer) -> Verdict:
     """Eligibility of the decoder for preimage enumeration.
 
     Requires a deterministic decoder that is multiplicative with a trivial
-    kernel over its truncated domain. A decoder built from spellings is
-    decided from them: it is multiplicative once its truncation admits a
-    concatenation, so it is eligible iff that holds and no spelling is
-    empty, and only a failing verdict is built in full. A table decoder is
-    decided from its values on every call.
+    kernel over its truncated domain, at every truncation: below m = 2
+    that means f(ε) = ε and no token in the domain decodes to ε. A decoder
+    built from spellings is a homomorphism, so it is eligible once no
+    spelling is empty, and only a failing verdict is built in full. A
+    table decoder is decided from its values on every call.
     """
     decoder = t.decoder
     spellings = decoder.spellings
-    if spellings is not None and decoder.dom_space.max_len >= 2 and all(spellings):
+    if spellings is not None and all(spellings):
         return Verdict.passed()
     if decoder.values is None:
         return Verdict.failed(None, "decoder is stochastic")
@@ -231,7 +233,7 @@ def decoder_eligibility(t: Tokenizer) -> Verdict:
     if not mult:
         return Verdict.failed(mult.witness, f"multiplicativity: {mult.describe()}")
     triv = _trivial_kernel_verdict(decoder)
-    if not triv:
+    if triv.ok is False:  # not applicable only at m = 0, where no token is in the domain
         return Verdict.failed(triv.witness, f"trivial kernel: {triv.describe()}")
     return Verdict.passed()
 
@@ -265,8 +267,9 @@ def preimages(t: Tokenizer, sigma: Str) -> list[Str]:
     Results in canonical order.
     """
     _require_preimage_query(t, sigma)
-    pieces = [s.syms for s in _token_images(t.decoder)]
     max_tokens = min(len(sigma), t.token_space.max_len)
+    # a table decoder's token images exist only where its domain holds tokens
+    pieces = [s.syms for s in _token_images(t.decoder)] if max_tokens else []
     token_alpha = t.token_space.alphabet
     return [
         Str._wrap(token_alpha, parts) for parts in factorizations(sigma.syms, pieces, max_tokens)

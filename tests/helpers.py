@@ -114,6 +114,23 @@ def oracle_greedy_encode(vocab, sigma, unk_token=None):
     return tk.Str(vocab.delta, out)
 
 
+def oracle_longest_match(vocab, syms, pos=0):
+    """Longest match by probing every length from the longest spelling down to 1."""
+    for n in range(min(vocab.max_spelling_len, len(syms) - pos), 0, -1):
+        j = vocab.token_by_spelling(syms[pos : pos + n])
+        if j is not None:
+            return j
+    return None
+
+
+def greedy_outcome(encode, *args):
+    """An encoding, or the position a NoMatchingPrefix reports."""
+    try:
+        return encode(*args)
+    except NoMatchingPrefix as exc:
+        return ("no match", exc.position)
+
+
 def oracle_parse_str(alphabet, text):
     """Greedy label parse of "|"-free text by scanning every label at each position."""
     if text in ("", "ε"):
@@ -148,13 +165,18 @@ def oracle_values(decoder):
     return {x: next(iter(row.mass)) for x, row in decoder.kernel.items()}
 
 
-def oracle_multiplicative(decoder):
-    """Brute-force multiplicativity: every (left, right) pair in canonical order."""
+def oracle_multiplicative(decoder, short_truncations=False):
+    """Brute-force multiplicativity: every (left, right) pair in canonical order.
+
+    Below a truncation of 2 the verdict is not applicable, as `classify`
+    reports it, unless short_truncations asks for the pairs to be checked
+    there too, as eligibility does.
+    """
     values = oracle_values(decoder)
     if values is None:
         return tk.Verdict.not_applicable("decoder is stochastic")
     m = decoder.dom_space.max_len
-    if m < 2:
+    if m < 2 and not short_truncations:
         return tk.Verdict.not_applicable("truncation admits no nonempty concatenation")
     alpha = decoder.dom_space.alphabet
     for left in tk.enumerate_strings(alpha, m):
@@ -178,14 +200,17 @@ def oracle_prefix_monotone(decoder):
 
 
 def oracle_eligibility(decoder):
-    """Deterministic, multiplicative and no token decoding to the empty string."""
+    """Deterministic, multiplicative and no token in the domain decoding to the empty string.
+
+    Every truncation is decided: below 2, multiplicativity is f(ε) = ε.
+    """
     if oracle_values(decoder) is None:
         return tk.Verdict.failed(None, "decoder is stochastic")
-    mult = oracle_multiplicative(decoder)
+    mult = oracle_multiplicative(decoder, short_truncations=True)
     if not mult:
         return tk.Verdict.failed(mult.witness, f"multiplicativity: {mult.describe()}")
     alpha = decoder.dom_space.alphabet
-    for i in range(len(alpha)):
+    for i in range(len(alpha) if decoder.dom_space.max_len else 0):
         token = tk.Str(alpha, (i,))
         if len(decoder.value_at(token)) == 0:
             note = "trivial kernel: false, witness " + token.render()

@@ -128,10 +128,57 @@ def test_preimages_text_beyond_truncation(capsys):
     assert out.strip().splitlines() == ["th", "t|h", "bound: 30"]
 
 
-def test_preimages_not_eligible(capsys):
-    code, _, err = run_cli(capsys, "preimages", DATA / "fig1.json", "--text", "s1")
+def test_preimages_not_eligible(capsys, tmp_path):
+    # fig1's decoder with token d3 decoding to the empty text
+    spec = json.loads((DATA / "fig1.json").read_text(encoding="utf-8"))
+    spec["decoder"]["table"][3] = ["d3", [["ε", "1"]]]
+    path = tmp_path / "fig1_empty_token.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = run_cli(capsys, "preimages", path, "--text", "s1")
     assert code == 2
-    assert "DecoderNotEligible" in err
+    assert err == (
+        "error: DecoderNotEligible: trivial kernel: false, witness d3, "
+        "token decodes to the empty string\n"
+    )
+
+
+def test_preimages_of_a_table_decoder_below_truncation_2(capsys):
+    # fig1's decoder sends ε to ε and no token to ε, so it is eligible at truncation 1
+    code, out, _ = run_cli(capsys, "preimages", DATA / "fig1.json", "--text", "s2")
+    assert code == 0
+    assert out.splitlines() == ["d1", "d2", "bound: 3"]
+    code, out, _ = run_cli(capsys, "preimages", DATA / "fig1.json", "--text", "s1")
+    assert code == 0
+    assert out.splitlines() == ["bound: 3"]
+
+
+@pytest.mark.parametrize("text, want", [("t", ["t", "bound: 5"]), ("ε", ["ε", "bound: 0"])])
+def test_preimages_at_truncation_1(capsys, text, want):
+    code, out, err = run_cli(
+        capsys, "preimages", DATA / "the_vocab.json", "--max-len", "1", "--text", text
+    )
+    assert (code, out.splitlines(), err) == (0, want, "")
+
+
+def test_preimages_of_the_empty_text_at_truncation_0(capsys):
+    code, out, _ = run_cli(
+        capsys, "preimages", DATA / "the_vocab.json", "--max-len", "0", "--text", "ε"
+    )
+    assert (code, out.splitlines()) == (0, ["ε", "bound: 0"])
+
+
+@pytest.mark.parametrize("text, want", [("t", "1/2"), ("ε", "1/4")])
+def test_marginalize_at_truncation_1(capsys, tmp_path, text, want):
+    path = tmp_path / "q.json"
+    path.write_text(
+        json.dumps([{"string": "t", "prob": "1/2"}, {"string": "ε", "prob": "1/4"},
+                    {"string": "h", "prob": "1/4"}]),
+        encoding="utf-8",
+    )
+    args = ["marginalize", DATA / "the_vocab.json", path, "--max-len", "1"]
+    assert run_cli(capsys, *args, "--text", text) == (0, want + "\n", "")
+    code, out, _ = run_cli(capsys, *args, "--all")
+    assert (code, out.splitlines()) == (0, ["ε\t1/4", "t\t1/2", "h\t1/4", "total: 1"])
 
 
 def test_marginalize_text(capsys):

@@ -13,7 +13,7 @@ from tokcheck.errors import (
     TruncationOverflow,
     VocabNotOpen,
 )
-from helpers import oracle_greedy_encode, random_open_vocab
+from helpers import greedy_outcome, oracle_greedy_encode, random_open_vocab
 
 
 def test_vocab_invariants(sigma):
@@ -174,14 +174,6 @@ open_vocabs = st.integers(0, 2**32 - 1).map(
 def texts(vocab, max_len=8):
     chars = st.integers(0, len(vocab.sigma) - 1)
     return st.lists(chars, max_size=max_len).map(lambda syms: tk.Str(vocab.sigma, syms))
-
-
-def greedy_outcome(encode, *args):
-    """An encoding, or the position a NoMatchingPrefix reports."""
-    try:
-        return encode(*args)
-    except NoMatchingPrefix as exc:
-        return ("no match", exc.position)
 
 
 @settings(max_examples=200, deadline=None)

@@ -166,10 +166,22 @@ def test_preimages_match_brute_force(vocab):
         assert tk.preimages(t, sigma) == oracle
 
 
+def with_empty_last_token(t):
+    """t with its decoder's last token sent to the empty text, so the kernel is not trivial."""
+    decoder = t.decoder
+    kernel = dict(decoder.kernel)
+    last = tk.Str(t.token_space.alphabet, (len(t.token_space.alphabet) - 1,))
+    kernel[last] = tk.point_mass(decoder.cod_space.empty(), decoder.cod_space)
+    return tk.Tokenizer(t.encoder, tk.StochMap(decoder.dom_space, decoder.cod_space, kernel))
+
+
 def test_preimages_requires_eligible_decoder(fig1):
-    t, _ = fig1
+    # fig1's own decoder is eligible at its truncation 1: f(ε) = ε and no token decodes to ε
+    t = with_empty_last_token(fig1[0])
     with pytest.raises(DecoderNotEligible):
         tk.preimages(t, tk.parse_str(t.char_space.alphabet, "s1"))
+    s2 = tk.parse_str(t.char_space.alphabet, "s2")
+    assert [d.render() for d in tk.preimages(fig1[0], s2)] == ["d1", "d2"]
 
 
 def test_preimage_bound():
@@ -323,6 +335,34 @@ def test_multiplicativity_witness_when_empty_row_is_nonempty():
     assert tk.decoder_eligibility(t).witness == (eps, eps)
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_eligibility_below_truncation_2(m):
+    # eligible iff f(ε) = ε and no token in the domain decodes to ε; classify says not applicable
+    def decoder(rows):
+        table = {"ε": "ε", "a": "x", "b": "y", "c": "xy", **rows}
+        kept = {d: out for d, out in table.items() if m == 1 or d == "ε"}
+        return with_empty_encoder(table_map(tk.Space(ABC, m), tk.Space(XY, 2), kept))
+
+    eps = tk.Space(ABC, 0).empty()
+    na = tk.Verdict.not_applicable("truncation admits no nonempty concatenation")
+    for t in [decoder({}), decoder({"b": "ε"}), decoder({"ε": "y"})]:
+        assert tk.classify(t).multiplicative_decoder == na
+        assert tk.decoder_eligibility(t) == oracle_eligibility(t.decoder)
+    assert tk.decoder_eligibility(decoder({}))
+    assert tk.preimages(decoder({}), tk.Space(XY, 0).empty()) == [eps]
+    moved = tk.Verdict.failed((eps, eps), "multiplicativity: false, witness (ε, ε)")
+    assert tk.decoder_eligibility(decoder({"ε": "y"})) == moved
+    b = tk.parse_str(ABC, "b")
+    empty_b = tk.Verdict.failed(b, "trivial kernel: false, witness b, token decodes to the empty string")
+    assert tk.decoder_eligibility(decoder({"b": "ε"})) == (empty_b if m else tk.Verdict.passed())
+    # a spelling decoder agrees with its table twin: no token lies in the domain at m = 0
+    spellings = [tk.parse_str(XY, sp) for sp in ("x", "ε", "xy")]
+    spelled = tk.StochMap.from_spellings(tk.Space(ABC, m), tk.Space(XY, 2), spellings)
+    assert tk.decoder_eligibility(with_empty_encoder(spelled)) == (
+        empty_b if m else tk.Verdict.passed()
+    )
+
+
 def test_multiplicativity_witness_prefers_one_token_left_factor():
     # both (a, b|c) and (a|b, c) fail; canonical order reports the shorter left factor
     t = with_empty_encoder(spelling_decoder(["x", "y", "xy"], 3, {"a|b|c": "yyy"}))
@@ -474,7 +514,7 @@ def test_marginalize_matches_preimage_sum():
 
 
 def test_marginalize_error_precedence(fig1, vocab):
-    t, _ = fig1
+    t = with_empty_last_token(fig1[0])
     s1 = tk.parse_str(t.char_space.alphabet, "s1")
     foreign = tk.parse_str(vocab.sigma, "t")
     munch = tk.munch_tokenizer(vocab, 2)

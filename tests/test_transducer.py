@@ -216,3 +216,70 @@ def test_equivalent_on_reports_a_mismatch_before_a_later_sibling_leaves_the_tabl
     with pytest.raises(UndefinedTransition) as info:
         tk.equivalent_on(variant, lambda s: tk.run(variant, s), 3)
     assert (info.value.state, info.value.symbol, info.value.position) == ("t", "e", 1)
+
+
+class _SameStr(tk.Str):
+    """A Str subclass that changes nothing."""
+
+
+class _NeverEqual(tk.Str):
+    """A Str subclass whose reflected comparison always reports a mismatch."""
+
+    def __ne__(self, other):
+        return True
+
+
+def _encoders_for_comparison(vocab, inputs):
+    """Direct encoders returning right and wrong values of several kinds, by name."""
+    greedy = lambda s: tk.maximal_munch_encode(vocab, s)
+    twin_alpha = tk.Alphabet(vocab.delta.labels, tk.TOKENS)
+    other_alpha = tk.Alphabet(vocab.delta.labels + ("x",), tk.TOKENS)
+
+    def wrong_at(bad):
+        def encode(s):
+            want = greedy(s)
+            return tk.Str(vocab.delta, want.syms + (0,)) if s == bad else want
+
+        return encode
+
+    return {
+        "right": greedy,
+        "equal alphabet": lambda s: tk.Str(twin_alpha, greedy(s).syms),
+        "other alphabet": lambda s: tk.Str(other_alpha, greedy(s).syms),
+        "same subclass": lambda s: _SameStr(vocab.delta, greedy(s).syms),
+        "never-equal subclass": lambda s: _NeverEqual(vocab.delta, greedy(s).syms),
+        "not a Str": lambda s: greedy(s).syms,
+        "wrong first": wrong_at(inputs[0]),
+        "wrong middle": wrong_at(inputs[len(inputs) // 2]),
+        "wrong last": wrong_at(inputs[-1]),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, fails_at",
+    [
+        ("right", None),
+        ("equal alphabet", None),
+        ("other alphabet", 0),
+        ("same subclass", None),
+        ("never-equal subclass", 0),
+        ("not a Str", 0),
+        ("wrong first", 0),
+        ("wrong middle", "middle"),
+        ("wrong last", -1),
+    ],
+)
+def test_equivalent_on_compares_like_the_oracle(machine, vocab, kind, fails_at):
+    max_len = 3
+    inputs = list(tk.enumerate_strings(vocab.sigma, max_len))
+    encode = _encoders_for_comparison(vocab, inputs)[kind]
+    verdict = tk.equivalent_on(machine, encode, max_len)
+    assert verdict == oracle_equivalent_on(machine, encode, max_len)
+    if fails_at is None:
+        assert verdict.ok and verdict.witness is None
+        return
+    gamma, got, want = verdict.witness
+    assert gamma == inputs[len(inputs) // 2 if fails_at == "middle" else fails_at]
+    assert type(got) is tk.Str and got.alphabet is machine.output_alphabet
+    assert got == tk.run(machine, gamma)
+    assert want is not got and type(want) is type(encode(gamma))

@@ -94,6 +94,32 @@ def test_value_map_twins_agree(table):
 
 
 @settings(max_examples=100, deadline=None)
+@given(value_tables())
+def test_trusted_value_map_equals_the_checked_one(table):
+    dom, cod, values, _ = table
+    ordered = {x: values[x] for x in dom.strings()}
+    trusted = tk.StochMap._of_values(dom, cod, ordered)
+    checked = tk.StochMap(dom, cod, dict(ordered))
+    assert list(trusted.values.items()) == list(checked.values.items())
+    assert list(trusted.kernel.items()) == list(checked.kernel.items())
+    assert len(trusted.kernel) == len(checked.kernel) == dom.size()
+    assert list(trusted.rows()) == list(checked.rows())
+    assert cli.table_rows(trusted) == cli.table_rows(checked)
+    assert trusted == checked and checked == trusted
+    assert trusted.spellings is None
+
+
+def test_munch_encoder_is_the_checked_map_of_its_values(vocab):
+    for unk in (None, "he"):
+        enc = tk.munch_encoder(vocab, 4, unk)
+        checked = tk.StochMap(enc.dom_space, enc.cod_space, dict(enc.values))
+        assert list(enc.values.items()) == list(checked.values.items())
+        assert list(enc.kernel) == list(checked.kernel) == list(enc.dom_space.strings())
+        assert cli.table_rows(enc) == cli.table_rows(checked)
+        assert enc == checked
+
+
+@settings(max_examples=100, deadline=None)
 @given(value_tables(), st.data())
 def test_one_stochastic_row_keeps_a_table(table, data):
     dom, cod, values, _ = table
