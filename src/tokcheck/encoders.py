@@ -118,7 +118,7 @@ class Vocab:
 
 @dataclass(frozen=True)
 class MergeList:
-    """Ordered merge rules; each concatenated pair must spell some vocab entry."""
+    """Ordered merge rules; each part and their concatenation must spell vocab entries."""
 
     pairs: tuple[tuple[Str, Str], ...]
 
@@ -137,6 +137,12 @@ class MergeList:
                 raise ValueError(
                     f"merge ({left.render()}, {right.render()}) does not spell any vocab entry"
                 )
+            for part in (left, right):
+                if vocab.token_by_spelling(part.syms) is None:
+                    raise ValueError(
+                        f"merge ({left.render()}, {right.render()}) can never fire: "
+                        f"its part {part.render()!r} does not spell any vocab entry"
+                    )
 
 
 def decode_tokens(vocab: Vocab, delta: Str) -> Str:
@@ -247,10 +253,12 @@ def munch_encoder(
 def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
     """Merge-based encoding: start from characters, apply merges in list order.
 
-    Each merge replaces adjacent occurrences of its pair leftmost-first
-    without overlap, repeating until none remain, before the next rule
-    applies. The within-merge order is this library's convention; outputs
-    are deterministic given the rule list.
+    Each merge makes one pass that replaces adjacent occurrences of its
+    pair leftmost-first without overlap. One pass leaves no occurrence
+    behind: the merged token spells left·right, so it differs from both
+    parts, and two tokens the pass left adjacent were already adjacent and
+    not the pair. The within-merge order is this library's convention;
+    outputs are deterministic given the rule list.
     """
     if sigma.alphabet != vocab.sigma:
         raise ValueError("input is not over the vocabulary's character alphabet")
@@ -266,21 +274,16 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
         left_j = vocab.token_by_spelling(left.syms)
         right_j = vocab.token_by_spelling(right.syms)
         merged = vocab.token_by_spelling(left.syms + right.syms)
-        while True:
-            out: list[int] = []
-            i = 0
-            changed = False
-            while i < len(seq):
-                if i + 1 < len(seq) and seq[i] == left_j and seq[i + 1] == right_j:
-                    out.append(merged)
-                    i += 2
-                    changed = True
-                else:
-                    out.append(seq[i])
-                    i += 1
-            seq = out
-            if not changed:
-                break
+        out: list[int] = []
+        i = 0
+        while i < len(seq):
+            if i + 1 < len(seq) and seq[i] == left_j and seq[i + 1] == right_j:
+                out.append(merged)
+                i += 2
+            else:
+                out.append(seq[i])
+                i += 1
+        seq = out
     return Str(vocab.delta, seq)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dist import Dist, point_mass, random_dist
+from .dist import Dist, random_dist
 from .errors import (
     AlphabetMismatch,
     DecoderNotEligible,
@@ -100,21 +100,19 @@ def exact_iff_all_consistent_probe(t: Tokenizer, trials: int = 100, seed: int = 
     is that point mass, so `is_exact` decides every point mass, and by the
     linearity of pushforward every distribution. If the tokenizer is exact,
     consistency is then checked against `trials` random distributions. If
-    it is not, the first string moved by the round trip yields a point-mass
-    distribution that is demonstrably inconsistent.
+    it is not, `is_exact`'s witness is the first string the round trip
+    moves, so the point mass on it is inconsistent without pushing it
+    through either map.
     """
     exact = is_exact(t)
-    space = t.char_space
     if exact:
         rng = random.Random(seed)
         for _ in range(trials):
-            p = random_dist(space, rng)
+            p = random_dist(t.char_space, rng)
             if not is_consistent_wrt(t, p):
                 return ProbeReport(True, trials, False, p, "random distribution not preserved")
         return ProbeReport(True, trials, True)
-    sigma = exact.witness
-    inconsistent = not is_consistent_wrt(t, point_mass(sigma, space))
-    return ProbeReport(False, 0, inconsistent, sigma)
+    return ProbeReport(False, 0, True, exact.witness)
 
 
 def _token_images(decoder: StochMap) -> Sequence[Str]:

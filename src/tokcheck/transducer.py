@@ -146,54 +146,41 @@ def equivalent_on(t: SubseqTransducer, encode: Callable[[Str], Str], max_len: in
 def build_maximal_munch_transducer(vocab: Vocab) -> SubseqTransducer:
     """Compile greedy longest-match encoding into a subsequential transducer.
 
-    States are the viable pending buffers: strict prefixes of spellings,
+    States are the pending buffers: the strict prefixes of spellings,
     including the empty buffer. Reading a character extends the buffer;
     once no spelling extends it, the longest spelling prefixing it
     (`Vocab.longest_match`, the matcher of `maximal_munch_encode`) is
     emitted and the remainder is re-scanned, with the re-scan folded into
-    the state construction so running stays a single left-to-right pass.
-    The terminal output of a state is `maximal_munch_encode` of its buffer.
+    the transition so running stays a single left-to-right pass. Every
+    pending buffer is reached from its one-shorter prefix without output
+    and every re-scan ends on one, so the states are exactly these buffers,
+    listed in canonical order (by length, then symbols). The terminal
+    output of a state is `maximal_munch_encode` of its buffer.
     """
     if not vocab.is_open:
         raise VocabNotOpen("the transducer construction needs an open vocabulary")
     sigma, delta = vocab.sigma, vocab.delta
-    strict_prefixes = {()}
-    for _, sp in vocab.entries:
-        for i in range(1, len(sp.syms)):
-            strict_prefixes.add(sp.syms[:i])
-
-    def settle(buf: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-        emitted: list[int] = []
-        while buf not in strict_prefixes:
-            j = vocab.longest_match(buf)
-            emitted.append(j)
-            buf = buf[vocab.spelling_lens[j] :]
-        return buf, emitted
-
-    def name(buf: tuple[int, ...]) -> str:
-        return "·".join(sigma.labels[i] for i in buf) if buf else "ε"
-
-    states: list[tuple[int, ...]] = [()]
-    seen = {()}
+    pending = {sp.syms[:i] for _, sp in vocab.entries for i in range(len(sp))}
+    names = {
+        buf: "·".join(sigma.labels[i] for i in buf) if buf else "ε"
+        for buf in sorted(pending, key=lambda buf: (len(buf), buf))
+    }
+    if len(set(names.values())) != len(names):
+        raise ValueError("buffer names collide; use distinct character labels")
     next_state: dict[tuple[str, int], str] = {}
     output: dict[tuple[str, int], Str] = {}
-    pos = 0
-    while pos < len(states):
-        buf = states[pos]
-        pos += 1
+    for buf, q in names.items():
         for a in range(len(sigma)):
-            new_buf, emitted = settle(buf + (a,))
-            if new_buf not in seen:
-                seen.add(new_buf)
-                states.append(new_buf)
-            next_state[(name(buf), a)] = name(new_buf)
-            output[(name(buf), a)] = Str(delta, emitted)
-    terminal = {name(buf): maximal_munch_encode(vocab, Str(sigma, buf)) for buf in states}
-    names = tuple(name(buf) for buf in states)
-    if len(set(names)) != len(names):
-        raise ValueError("buffer names collide; use distinct character labels")
+            rest, emitted = buf + (a,), []
+            while rest not in names:
+                j = vocab.longest_match(rest)
+                emitted.append(j)
+                rest = rest[vocab.spelling_lens[j] :]
+            next_state[(q, a)] = names[rest]
+            output[(q, a)] = Str._wrap(delta, tuple(emitted))
+    terminal = {q: maximal_munch_encode(vocab, Str._wrap(sigma, buf)) for buf, q in names.items()}
     return SubseqTransducer(
-        states=names,
+        states=tuple(names.values()),
         input_alphabet=sigma,
         output_alphabet=delta,
         initial="ε",

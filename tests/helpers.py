@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import tokcheck as tk
 from tokcheck.dist import random_dist
-from tokcheck.errors import NoMatchingPrefix, ParseError, SpaceMismatch
+from tokcheck.errors import (
+    MissingBaseCharacter,
+    NoMatchingPrefix,
+    ParseError,
+    SpaceMismatch,
+    VocabNotOpen,
+)
 
 
 def dist_from(space, items):
@@ -367,3 +373,85 @@ def oracle_is_injective(f):
             if overlap:
                 return tk.Verdict.failed((x, xp, min(overlap, key=tk.Str.sort_key)))
     raise AssertionError("collision detected but no witness found")
+
+
+def oracle_bpe_encode(vocab, merges, sigma):
+    """Merge-based encoding that repeats each merge's pass until it changes nothing."""
+    seq = []
+    for c in sigma.syms:
+        j = vocab.token_by_spelling((c,))
+        if j is None:
+            raise MissingBaseCharacter(
+                f"character {vocab.sigma.labels[c]!r} has no single-character vocab entry"
+            )
+        seq.append(j)
+    for left, right in merges.pairs:
+        left_j = vocab.token_by_spelling(left.syms)
+        right_j = vocab.token_by_spelling(right.syms)
+        merged = vocab.token_by_spelling(left.syms + right.syms)
+        while True:
+            out = []
+            i = 0
+            changed = False
+            while i < len(seq):
+                if i + 1 < len(seq) and seq[i] == left_j and seq[i + 1] == right_j:
+                    out.append(merged)
+                    i += 2
+                    changed = True
+                else:
+                    out.append(seq[i])
+                    i += 1
+            seq = out
+            if not changed:
+                break
+    return tk.Str(vocab.delta, seq)
+
+
+def oracle_build_maximal_munch_transducer(vocab):
+    """The greedy transducer with its states found by a worklist from the empty buffer."""
+    if not vocab.is_open:
+        raise VocabNotOpen("the transducer construction needs an open vocabulary")
+    sigma, delta = vocab.sigma, vocab.delta
+    strict_prefixes = {()}
+    for _, sp in vocab.entries:
+        for i in range(1, len(sp.syms)):
+            strict_prefixes.add(sp.syms[:i])
+
+    def settle(buf):
+        emitted = []
+        while buf not in strict_prefixes:
+            j = oracle_longest_match(vocab, buf)
+            emitted.append(j)
+            buf = buf[len(vocab.spelling(j)) :]
+        return buf, emitted
+
+    def name(buf):
+        return "·".join(sigma.labels[i] for i in buf) if buf else "ε"
+
+    states = [()]
+    seen = {()}
+    next_state, output = {}, {}
+    pos = 0
+    while pos < len(states):
+        buf = states[pos]
+        pos += 1
+        for a in range(len(sigma)):
+            new_buf, emitted = settle(buf + (a,))
+            if new_buf not in seen:
+                seen.add(new_buf)
+                states.append(new_buf)
+            next_state[(name(buf), a)] = name(new_buf)
+            output[(name(buf), a)] = tk.Str(delta, emitted)
+    terminal = {name(buf): oracle_greedy_encode(vocab, tk.Str(sigma, buf)) for buf in states}
+    names = tuple(name(buf) for buf in states)
+    if len(set(names)) != len(names):
+        raise ValueError("buffer names collide; use distinct character labels")
+    return tk.SubseqTransducer(
+        states=names,
+        input_alphabet=sigma,
+        output_alphabet=delta,
+        initial="ε",
+        next_state=next_state,
+        output=output,
+        terminal=terminal,
+    )

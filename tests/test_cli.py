@@ -390,3 +390,41 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "t|he\nth|e\nt|h|e\nbound: 155\n"
+
+
+def test_check_bpe_spec(capsys):
+    code, out, err = run_cli(capsys, "check", DATA / "the_bpe.json", "--max-len", "3")
+    assert (code, err) == (0, "")
+    assert out == (
+        "exact: true\n"
+        "deterministic encoder: true\n"
+        "deterministic decoder: true\n"
+        "bijective: true\n"
+        "multiplicative decoder: true\n"
+        "trivial kernel: true\n"
+        "prefix monotone: true\n"
+        "probe: exact; consistent on 50 random distributions and all point masses\n"
+    )
+
+
+def test_preimages_bpe_spec(capsys):
+    code, out, err = run_cli(capsys, "preimages", DATA / "the_bpe.json", "--text", "the")
+    assert (code, err) == (0, "")
+    assert out == "t|he\nth|e\nt|h|e\nbound: 155\n"
+
+
+def test_check_rejects_a_merge_that_can_never_fire(capsys, tmp_path):
+    doc = {
+        "alphabet": ["a", "b", "c"],
+        "vocab": [{"token": sp, "spelling": sp} for sp in ("a", "b", "c", "abc")],
+        "encoder": {"type": "bpe", "merges": [["ab", "c"]]},
+        "decoder": {"type": "concat"},
+    }
+    path = tmp_path / "inert_merge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", path, "--max-len", "3")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad tokenizer spec: merge (ab, c) can never fire: "
+        "its part 'ab' does not spell any vocab entry\n"
+    )

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from tokcheck.errors import (
     TruncationOverflow,
     VocabNotOpen,
 )
-from helpers import greedy_outcome, oracle_greedy_encode, random_open_vocab
+from helpers import greedy_outcome, oracle_bpe_encode, oracle_greedy_encode, random_open_vocab
 
 
 def test_vocab_invariants(sigma):
@@ -94,6 +95,54 @@ def test_bpe_missing_base_character(sigma):
 def test_bpe_merge_must_spell_vocab_entry(vocab):
     with pytest.raises(ValueError):
         tk.MergeList.from_texts(vocab, [("h", "t")])  # "ht" is not a spelling
+
+
+def test_bpe_merge_parts_must_spell_vocab_entries():
+    sigma = tk.Alphabet(("a", "b", "c"))
+    vocab = tk.Vocab.from_texts(sigma, [("a", "a"), ("b", "b"), ("c", "c"), ("abc", "abc")])
+    with pytest.raises(ValueError, match="part 'ab' does not spell any vocab entry"):
+        tk.MergeList.from_texts(vocab, [("ab", "c")])
+    with pytest.raises(ValueError, match="part 'bc' does not spell any vocab entry"):
+        tk.MergeList.from_texts(vocab, [("a", "bc")])
+
+
+def bpe_outcome(encode, vocab, merges, text):
+    """An encoding, or the type and message of the MissingBaseCharacter it raises."""
+    try:
+        return encode(vocab, merges, text)
+    except MissingBaseCharacter as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bpe_encode_matches_the_repeating_oracle(data):
+    """One pass per merge against passes repeated until nothing changes.
+
+    Merge parts are drawn from the tokens so far, so self-merges like
+    (a, a) and merges of earlier merges' tokens both occur; an extra
+    character z has no vocab entry, so texts holding it must fail alike.
+    """
+    k = data.draw(st.integers(1, 3))
+    labels = "abc"[:k]
+    sigma = tk.Alphabet(tuple(labels) + ("z",))
+    spellings = list(labels)
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        left = data.draw(st.sampled_from(spellings))
+        right = data.draw(st.sampled_from(spellings))
+        if left + right not in spellings:
+            spellings.append(left + right)
+        pairs.append((left, right))
+    vocab = tk.Vocab.from_texts(sigma, [(sp, sp) for sp in spellings])
+    merges = tk.MergeList.from_texts(vocab, pairs)
+    texts = [syms for n in range(7) for syms in itertools.product(range(k), repeat=n)]
+    texts += data.draw(st.lists(st.lists(st.integers(0, k), max_size=6), min_size=1, max_size=5))
+    for syms in texts:
+        text = tk.Str(sigma, syms)
+        assert bpe_outcome(tk.bpe_encode, vocab, merges, text) == bpe_outcome(
+            oracle_bpe_encode, vocab, merges, text
+        )
 
 
 def test_bpe_leftmost_first_nonoverlapping():

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 import tokcheck as tk
 from tokcheck.errors import UndefinedTransition, VocabNotOpen
-from helpers import oracle_equivalent_on, random_open_vocab
+from helpers import (
+    oracle_build_maximal_munch_transducer,
+    oracle_equivalent_on,
+    random_open_vocab,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +81,49 @@ def test_construction_requires_open_vocab(vocab):
     partial = tk.Vocab.from_texts(vocab.sigma, [("t", "t"), ("he", "he")])
     with pytest.raises(VocabNotOpen):
         tk.build_maximal_munch_transducer(partial)
+
+
+def build_outcome(build, vocab):
+    """A built transducer, or the type and message of the error the build raises."""
+    try:
+        return build(vocab)
+    except (VocabNotOpen, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_builder_matches_the_worklist_oracle(data):
+    """Same states in the same order, tables, terminals and errors as a worklist search.
+
+    Vocabs may miss a single character (not open), and the label a·b
+    names the buffer (a·b) and the buffer (a, b) alike when spellings
+    extend both.
+    """
+    labels = data.draw(
+        st.sampled_from([("a",), ("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d"), ("a", "b", "a·b")])
+    )
+    sigma = tk.Alphabet(labels)
+    k = len(labels)
+    missing = data.draw(st.sampled_from((None,) * 8 + tuple(range(k))))
+    spellings = {(c,) for c in range(k) if c != missing}
+    if "a·b" in labels:
+        spellings |= data.draw(st.sampled_from([set(), {(0, 1, 0), (2, 0)}]))
+    longer = st.lists(st.integers(0, k - 1), min_size=2, max_size=5).map(tuple)
+    spellings |= data.draw(st.sets(longer, min_size=0 if spellings else 1, max_size=5))
+    entries = tuple((f"t{j}", tk.Str(sigma, sp)) for j, sp in enumerate(sorted(spellings)))
+    vocab = tk.Vocab(sigma, entries)
+    assert build_outcome(tk.build_maximal_munch_transducer, vocab) == build_outcome(
+        oracle_build_maximal_munch_transducer, vocab
+    )
+
+
+def test_builder_rejects_colliding_buffer_names():
+    sigma = tk.Alphabet(("a", "b", "a·b"))
+    spellings = [(0,), (1,), (2,), (0, 1, 0), (2, 0)]
+    vocab = tk.Vocab(sigma, tuple((f"t{j}", tk.Str(sigma, sp)) for j, sp in enumerate(spellings)))
+    with pytest.raises(ValueError, match="buffer names collide"):
+        tk.build_maximal_munch_transducer(vocab)
 
 
 def test_equivalence_with_direct_encoder(machine, vocab):
