@@ -5,7 +5,11 @@ distributions is decidable and distance computations are exact. Floats
 appear only in `kl_divergence`. Sampling uses the stdlib Mersenne Twister
 (`random.Random`) seeded explicitly, drawing integers below the common
 denominator of the masses, so draws are exact and bit-reproducible.
-`sample_counts` tallies the same draws as `sample` without listing them.
+`sample_counts` tallies the same draws as `sample` without listing them:
+below a denominator of 256 it reads each round of draws with one
+`randbytes` call and counts their top bytes, and from 256 up it makes the
+`getrandbits` calls of `randrange` one by one. Either way the counts, and
+the generator's final state, are those of `sample`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .strings import Space, Str
 
 
 _ONE = Fraction(1)
+# A byte no support index takes: a support has at most denom <= 255 strings
+# when draws are read a byte at a time, so indices stop at 254.
+_REJECT = 255
 
 
 class Dist:
@@ -54,6 +61,15 @@ class Dist:
         obj = object.__new__(cls)
         object.__setattr__(obj, "space", space)
         object.__setattr__(obj, "mass", {x: _ONE})
+        return obj
+
+    @classmethod
+    def _of_masses(cls, space: Space, mass: dict[Str, Fraction]) -> Dist:
+        # fast path for masses known to be positive Fractions on strings of the
+        # space that sum to 1, such as a mix of distributions by positive weights
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "mass", mass)
         return obj
 
     def __setattr__(self, name, value):
@@ -180,21 +196,39 @@ def sample_counts(p: Dist, seed: int, n: int) -> list[int]:
     """How many of `sample(p, seed, n)`'s draws land on each support string, in canonical order.
 
     `randrange(denom)` draws `getrandbits(k)`, k = denom.bit_length(), until
-    a value below denom comes up. This makes the same calls, in C, and
-    counts the raw values: each round asks for as many values as accepted
-    draws are still missing, so the stream is never read past the n-th
-    accepted draw. Rejected values are dropped at the end, and each distinct
-    accepted value is mapped to its support string by one bisection.
+    a value below denom comes up; for k <= 32 that value is the top k bits
+    of one 32-bit Mersenne Twister word. Draws are read in rounds: each
+    round asks for as many values as accepted draws are still missing, so
+    the stream is never read past the n-th accepted draw and the generator
+    ends where `randrange` leaves it.
+
+    Below 256 (k <= 8) a round reads its words with one `randbytes` call,
+    which writes each word as 4 little-endian bytes, so every fourth byte
+    is a word's top byte. One `translate` maps a top byte to the support
+    index its draw selects, or to _REJECT for a value at or above denom,
+    and `bytes.count` tallies the indices. Larger denominators make the
+    `getrandbits` calls themselves and count the raw values.
     """
     if n < 0:
         raise ValueError("sample count must be >= 0")
     support, denom, cuts = _inverse_cdf(p)
-    getrandbits = random.Random(seed).getrandbits
+    rng = random.Random(seed)
     k = denom.bit_length()
-    rounds = []
     need = n
+    if k <= 8:
+        table = bytes(
+            bisect.bisect_right(cuts, r) if r < denom else _REJECT
+            for r in (b >> (8 - k) for b in range(256))
+        )
+        drawn = bytearray()
+        while need:
+            indices = rng.randbytes(4 * need)[3::4].translate(table)
+            need = indices.count(_REJECT)
+            drawn += indices
+        return [drawn.count(i) for i in range(len(support))]
+    rounds = []
     while need:
-        raw = Counter(map(getrandbits, repeat(k, need)))
+        raw = Counter(map(rng.getrandbits, repeat(k, need)))
         need = sum(c for r, c in raw.items() if r >= denom)
         rounds.append(raw)
     counts = [0] * len(support)

@@ -258,7 +258,9 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
     behind: the merged token spells left·right, so it differs from both
     parts, and two tokens the pass left adjacent were already adjacent and
     not the pair. The within-merge order is this library's convention;
-    outputs are deterministic given the rule list.
+    outputs are deterministic given the rule list. A merge list that was
+    never validated against the vocab raises `MergeList.validate`'s error
+    when a merge it reaches does not spell vocab entries.
     """
     if sigma.alphabet != vocab.sigma:
         raise ValueError("input is not over the vocabulary's character alphabet")
@@ -274,6 +276,8 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
         left_j = vocab.token_by_spelling(left.syms)
         right_j = vocab.token_by_spelling(right.syms)
         merged = vocab.token_by_spelling(left.syms + right.syms)
+        if None in (left_j, right_j, merged):
+            merges.validate(vocab)  # raises, naming this merge: every earlier one passed
         out: list[int] = []
         i = 0
         while i < len(seq):

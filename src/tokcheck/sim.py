@@ -3,12 +3,15 @@
 Each schedule step draws its own sample with a seed derived as seed XOR n,
 so steps are independent and reproducible in isolation. A step counts its
 draws per support string of the target (`dist.sample_counts`, the draws of
-`dist.sample`) and mixes the round trips of those strings, each tabulated
-once per run, by the relative frequencies; by linearity that is the
-empirical distribution encoded and decoded. Convergence at desk scale is
-judged by the total variation at the final step (threshold fixed here,
-stated in every report); the exact asymptotic answer is the bias, computed
-with rational arithmetic from the same round trips.
+`dist.sample`, read in bulk from the generator) and mixes the round trips
+of those strings, each tabulated once per run, by the relative
+frequencies; by linearity that is the empirical distribution encoded and
+decoded. A mix of distributions by positive weights summing to 1 is a
+distribution, so it is built without re-checking its masses. Convergence
+at desk scale is judged by the total variation at the final step
+(threshold fixed here, stated in every report); the exact asymptotic
+answer is the bias, computed with rational arithmetic from the same round
+trips.
 """
 
 from __future__ import annotations
@@ -57,12 +60,16 @@ def _round_trips(t: Tokenizer, p_star: Dist) -> dict[Str, Dist]:
 def _mix(
     round_trips: Mapping[Str, Dist], weights: Iterable[tuple[Str, Fraction]], space: Space
 ) -> Dist:
-    """The weighted sum of round trips: result(y) = sum_x w_x rt_x(y)."""
+    """The weighted sum of round trips: result(y) = sum_x w_x rt_x(y).
+
+    The weights are positive and sum to 1, and every round trip is a
+    distribution over the space, so the sum is one too and is not re-checked.
+    """
     acc: dict[Str, Fraction] = {}
     for x, w in weights:
         for y, m in round_trips[x].mass.items():
             acc[y] = acc.get(y, 0) + w * m
-    return Dist(space, acc)
+    return Dist._of_masses(space, acc)
 
 
 def bias(t: Tokenizer, p_star: Dist) -> Fraction:

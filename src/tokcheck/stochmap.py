@@ -96,14 +96,20 @@ class StochMap:
             raise ValueError(
                 f"kernel has {len(rows)} rows but the domain has {dom_space.size()} strings"
             )
-        values: dict[Str, Str] | None = {}
         for x, row in rows.items():
             dom_space.require(x)
             if isinstance(row, Str):
                 cod_space.require(row)
-                values[x] = row
             elif not isinstance(row, Dist) or row.space != cod_space:
                 raise SpaceMismatch(f"row at {x!r} is not a distribution over the codomain space")
+        self._build(dom_space, cod_space, rows)
+
+    def _build(self, dom_space: Space, cod_space: Space, rows: Mapping[Str, Str | Dist]) -> None:
+        # rows already checked: one per domain string, each a string in or a Dist over cod_space
+        values: dict[Str, Str] | None = {}
+        for x, row in rows.items():
+            if isinstance(row, Str):
+                values[x] = row
             elif len(row.mass) == 1:
                 (values[x],) = row.mass
         if len(values) < len(rows):  # a stochastic row: keep every row as a distribution
@@ -120,6 +126,13 @@ class StochMap:
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "spellings", spellings)
+
+    @classmethod
+    def _of_rows(cls, dom_space: Space, cod_space: Space, rows: dict[Str, Str | Dist]) -> StochMap:
+        # fast path for rows checked as they were made, as `materialize` does
+        f = object.__new__(cls)
+        f._build(dom_space, cod_space, rows)
+        return f
 
     @classmethod
     def _of_values(cls, dom_space: Space, cod_space: Space, values: dict[Str, Str]) -> StochMap:
@@ -301,9 +314,11 @@ def materialize(
     The procedure is called once per domain string. It may return either a
     string (a deterministic row, checked on return against the codomain
     space) or a distribution over it. Any exception it raises is
-    wrapped as ProcUndefined at the offending input. The greedy encoder is
-    not tabulated here: `encoders.munch_encoder` builds its table by the
-    shortest-suffix recurrence.
+    wrapped as ProcUndefined at the offending input. Rows are checked here,
+    once each, as they are made, and the map is built from them without the
+    constructor's checks. The greedy encoder is not tabulated here:
+    `encoders.munch_encoder` builds its table by the shortest-suffix
+    recurrence.
     """
     rows: dict[Str, Str | Dist] = {}
     for x in dom_space.strings():
@@ -316,4 +331,4 @@ def materialize(
         elif out.space != cod_space:
             out = out.embedded(cod_space)
         rows[x] = out
-    return StochMap(dom_space, cod_space, rows)
+    return StochMap._of_rows(dom_space, cod_space, rows)

@@ -195,20 +195,27 @@ def _two_atoms(space, d, rng):
     return tk.Dist(space, {x: Fraction(1, d), y: Fraction(d - 1, d)})
 
 
+def _uniform_255():
+    """Mass 1/255 on each of the 255 strings of (a|b)^<=7: support index 254 is a draw of 254."""
+    space = tk.Space(AB, 7)
+    return tk.Dist(space, {s: Fraction(1, 255) for s in space.strings()})
+
+
 def test_sample_counts_match_counted_sample():
     rng = random.Random(12)
     space = tk.Space(AB, 4)
     pool = list(space.strings())
     denominators = {
         1: [1],
-        8: [200, 2**7],
+        8: [200, 2**7, 255],
+        9: [256],
         32: [2**31 + 11],
         33: [2**32 + 15, 2**32],
         61: [2**61 - 1],
         65: [2**64],
         89: [2**88 + 7],
     }
-    cases = [tk.point_mass(pool[5], space)]
+    cases = [tk.point_mass(pool[5], space), _uniform_255()]
     for bits, ds in denominators.items():
         for d in ds:
             if d > 1:
@@ -243,8 +250,10 @@ def test_sample_counts_read_as_many_bits_as_randrange(monkeypatch):
     rng = random.Random(3)
     space = tk.Space(AB, 4)
     monkeypatch.setattr(tk.dist.random, "Random", Recording)
-    for d in (1, 2, 3, 2**7, 200, 2**32 + 15, 2**64, 2**88 + 7):
-        p = _two_atoms(space, d, rng) if d > 1 else tk.point_mass(space.empty(), space)
+    cases = [(1, tk.point_mass(space.empty(), space)), (255, _uniform_255())]
+    for d in (2, 3, 2**7, 200, 255, 256, 2**32 + 15, 2**64, 2**88 + 7):
+        cases.append((d, _two_atoms(space, d, rng)))
+    for d, p in cases:
         for n in (0, 1, 9, 300):
             tk.sample_counts(p, 17, n)
             (drawn,) = made

@@ -106,6 +106,17 @@ def test_bpe_merge_parts_must_spell_vocab_entries():
         tk.MergeList.from_texts(vocab, [("a", "bc")])
 
 
+def test_bpe_encode_raises_validate_error_on_unvalidated_merges(sigma):
+    """A MergeList that skipped `validate` fails with its named error, not deep in `Str`."""
+    h, t, th, e = (tk.parse_str(sigma, c) for c in ("h", "t", "th", "e"))
+    vocab = tk.Vocab.from_texts(sigma, [("t", "t"), ("h", "h")])
+    with pytest.raises(ValueError, match=r"merge \(h, t\) does not spell any vocab entry"):
+        tk.bpe_encode(vocab, tk.MergeList(((h, t),)), tk.parse_str(sigma, "ht"))
+    vocab = tk.Vocab.from_texts(sigma, [("t", "t"), ("h", "h"), ("e", "e"), ("the", "the")])
+    with pytest.raises(ValueError, match="its part 'th' does not spell any vocab entry"):
+        tk.bpe_encode(vocab, tk.MergeList(((th, e),)), tk.parse_str(sigma, "the"))
+
+
 def bpe_outcome(encode, vocab, merges, text):
     """An encoding, or the type and message of the MissingBaseCharacter it raises."""
     try:

@@ -1,10 +1,18 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import tokcheck as tk
-from tokcheck.errors import OutOfDomain, ProcUndefined, SpaceMismatch
+from tokcheck import cli
+from tokcheck.errors import (
+    NoMatchingPrefix,
+    OutOfDomain,
+    OutOfTruncation,
+    ProcUndefined,
+    SpaceMismatch,
+)
 from helpers import dist_from, random_dist, random_map, table_map
 
 
@@ -208,6 +216,36 @@ def test_materialize_wraps_failures(vocab):
         tk.materialize(
             lambda s: tk.maximal_munch_encode(bad_vocab, s), space, tk.Space(bad_vocab.delta, 2)
         )
+
+
+def test_materialize_checks_each_row_once(monkeypatch):
+    """Loading the BPE spec at length 8 checks each of its 9,841 encoder rows once."""
+    calls = 0
+    require = tk.Space.require
+
+    def counting(space, s):
+        nonlocal calls
+        calls += 1
+        return require(space, s)
+
+    monkeypatch.setattr(tk.Space, "require", counting)
+    bundle = cli.load_spec(str(Path(__file__).parent / "data" / "the_bpe.json"), 8)
+    assert bundle.tokenizer.encoder.dom_space.size() == 9841
+    assert calls == 9841
+
+
+def test_materialize_raises_at_the_first_bad_row():
+    """An over-long row stops tabulation before a later input where the procedure fails."""
+
+    def doubled(s):
+        if s.syms == (1, 1):
+            raise NoMatchingPrefix(0)
+        return tk.Str(AB, s.syms * 2)
+
+    with pytest.raises(ProcUndefined):
+        tk.materialize(doubled, SP2, tk.Space(AB, 4))
+    with pytest.raises(OutOfTruncation, match="has length 2 > truncation 1"):
+        tk.materialize(doubled, SP2, tk.Space(AB, 1))
 
 
 def test_l1_contraction_on_random_triples():
