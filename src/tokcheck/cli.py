@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,24 +73,33 @@ def _parse_table(rows, dom_alpha: Alphabet, cod_alpha: Alphabet):
     return parsed
 
 
+@contextmanager
+def _document(kind: str):
+    """Report a malformed document's error as ParseError("bad <kind>: ...")."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError, TokcheckError) as exc:
+        raise ParseError(f"bad {kind}: {exc}") from exc
+
+
 def _table_map(rows, dom_space: Space, cod_space: Space) -> StochMap:
     raw = _parse_table(rows, dom_space.alphabet, cod_space.alphabet)
     missing = dom_space.size() - len(raw)
     if missing:
         raise ParseError(f"table is missing {missing} row(s); it must cover the whole domain")
-    try:
+    with _document("table"):
         kernel = {x: Dist(cod_space, mass) for x, mass in raw.items()}
         return StochMap(dom_space, cod_space, kernel)
-    except (ValueError, TokcheckError) as exc:
-        raise ParseError(f"bad table: {exc}") from exc
 
 
 def table_rows(f: StochMap) -> list:
     """Serialize a map's kernel as [(input, [(output, prob), ...]), ...]."""
-    rows = []
-    for x, row in f.rows():
-        rows.append([x.render(), [[y.render(), str(m)] for y, m in sorted(row.mass.items(), key=lambda kv: kv[0].sort_key())]])
-    return rows
+    return [
+        [x.render(), [[y.render(), str(row.mass[y])] for y in row.support()]]
+        for x, row in f.rows()
+    ]
 
 
 def _read_json(path: str):
@@ -105,12 +115,8 @@ def _read_json(path: str):
 
 def load_spec(path: str, max_len: int) -> SpecBundle:
     doc = _read_json(path)
-    try:
+    with _document("tokenizer spec"):
         return _build_spec(doc, max_len)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, TokcheckError) as exc:
-        raise ParseError(f"bad tokenizer spec: {exc}") from exc
 
 
 def _build_spec(doc: dict, max_len: int) -> SpecBundle:
@@ -140,7 +146,6 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
         if vocab is None:
             raise ParseError("constructive decoders need a spelling for every vocab entry")
         m = n
-        n_out = m * vocab.max_spelling_len
     char_space, token_space = Space(sigma, n), Space(delta, m)
 
     if enc_type == "table":
@@ -163,7 +168,7 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
     if dec_type == "table":
         decoder = _table_map(dec_doc["table"], token_space, Space(sigma, n_out))
     elif dec_type == "concat":
-        decoder = concat_decoder(vocab, m, n_out)
+        decoder = concat_decoder(vocab, m)
     else:
         raise ParseError(f"unknown decoder type {dec_type!r}")
     return SpecBundle(Tokenizer(encoder, decoder), vocab, enc_type, dec_type)
@@ -171,7 +176,7 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
 
 def load_dist(path: str, space: Space) -> Dist:
     doc = _read_json(path)
-    try:
+    with _document("distribution file"):
         mass = {}
         for item in doc:
             s = parse_str(space.alphabet, item["string"])
@@ -179,14 +184,10 @@ def load_dist(path: str, space: Space) -> Dist:
                 raise ParseError(f"duplicate entry for {item['string']!r}")
             mass[s] = _fraction(item["prob"])
         return Dist(space, mass)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, TokcheckError) as exc:
-        raise ParseError(f"bad distribution file: {exc}") from exc
 
 
 def dist_rows(d: Dist) -> list:
-    return [{"string": s.render(), "prob": str(m)} for s, m in sorted(d.mass.items(), key=lambda kv: kv[0].sort_key())]
+    return [{"string": s.render(), "prob": str(d.mass[s])} for s in d.support()]
 
 
 def transducer_to_json(t: SubseqTransducer) -> dict:
@@ -200,14 +201,14 @@ def transducer_to_json(t: SubseqTransducer) -> dict:
                 "to": t.next_state[(q, a)],
                 "out": t.output[(q, a)].render(),
             }
-            for (q, a) in sorted(t.next_state, key=lambda key: (key[0], key[1]))
+            for (q, a) in sorted(t.next_state)
         ],
         "terminal": [{"state": q, "out": t.terminal[q].render()} for q in t.states],
     }
 
 
 def transducer_from_json(doc: dict, sigma: Alphabet, delta: Alphabet) -> SubseqTransducer:
-    try:
+    with _document("transducer document"):
         next_state, output = {}, {}
         for tr in doc["transitions"]:
             key = (tr["from"], sigma.index(tr["in"]))
@@ -223,10 +224,6 @@ def transducer_from_json(doc: dict, sigma: Alphabet, delta: Alphabet) -> SubseqT
             output=output,
             terminal=terminal,
         )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad transducer document: {exc}") from exc
 
 
 def _cmd_check(args, bundle: SpecBundle) -> int:
@@ -273,11 +270,10 @@ def _cmd_marginalize(args, bundle: SpecBundle) -> int:
     require_eligible_decoder(t)
     decoded = pushforward(t.decoder, q)
     total = Fraction(0)
-    for sigma in t.char_space.strings():
-        value = decoded.mass_of(sigma)
-        if value:
-            print(f"{sigma.render()}\t{value}")
-            total += value
+    for sigma in decoded.support():
+        if sigma in t.char_space:
+            print(f"{sigma.render()}\t{decoded.mass[sigma]}")
+            total += decoded.mass[sigma]
     print(f"total: {total}")
     return 0
 

@@ -94,7 +94,7 @@ class Dist:
         return self.space == other.space and self.mass == other.mass
 
     def __repr__(self) -> str:
-        items = ", ".join(f"{s.render()}: {m}" for s, m in sorted(self.mass.items(), key=lambda kv: kv[0].sort_key()))
+        items = ", ".join(f"{s.render()}: {self.mass[s]}" for s in self.support())
         return f"Dist({{{items}}})"
 
 

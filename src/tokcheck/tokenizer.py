@@ -22,6 +22,7 @@ from .errors import (
     DecoderNotEligible,
     EncoderNotDeterministic,
     NotDeterministic,
+    OutOfTruncation,
     SpaceMismatch,
 )
 from .reports import ClassificationReport, ProbeReport, Verdict
@@ -53,26 +54,18 @@ class Tokenizer:
         return self.encoder.cod_space
 
 
-def _roundtrip_row(t: Tokenizer, sigma: Str) -> dict[Str, Fraction]:
-    """The distribution of decode(encode(sigma)) as a raw mass map."""
-    acc: dict[Str, Fraction] = {}
-    for delta, pd in t.encoder.kernel[sigma].mass.items():
-        for out, po in t.decoder.kernel[delta].mass.items():
-            acc[out] = acc.get(out, Fraction(0)) + pd * po
-    return acc
-
-
 def is_exact(t: Tokenizer) -> Verdict:
     """True iff decode after encode is the identity on every domain string.
 
     A deterministic encoder's row whose value decodes to sigma alone is the
-    identity without any arithmetic; every other row is summed in full.
+    identity without any arithmetic; every other row is pushed through the
+    decoder in full.
     """
     values, decoder = t.encoder.values, t.decoder
     for sigma in t.char_space.strings():
         if values is not None and decoder.row_is_point(values[sigma], sigma):
             continue
-        if _roundtrip_row(t, sigma) != {sigma: Fraction(1)}:
+        if pushforward(decoder, t.encoder.kernel[sigma]).mass != {sigma: Fraction(1)}:
             return Verdict.failed(sigma)
     return Verdict.passed()
 
@@ -304,13 +297,28 @@ def marginalize(t: Tokenizer, q: Dist, sigma: Str) -> Fraction:
 
 
 def spurious_ambiguity_mass(t: Tokenizer, q: Dist) -> Fraction:
-    """Mass q places outside the image of a deterministic encoder."""
+    """Mass q places outside the image of a deterministic encoder.
+
+    An atom outside the image is spurious only if its text lies in the
+    character space. A text past the character truncation may well encode
+    to that atom, but the truncated encoder does not say, so such an atom is
+    refused with `OutOfTruncation`, as `preimages` refuses such a text; the
+    first one in canonical order is named.
+    """
     if not is_deterministic(t.encoder):
         raise EncoderNotDeterministic("spurious ambiguity is defined for deterministic encoders")
     if q.space != t.token_space:
         raise SpaceMismatch("distribution must live over the token space")
     image = set(t.encoder.values.values())
-    return sum((m for delta, m in q.mass.items() if delta not in image), Fraction(0))
+    outside = [delta for delta in q.support() if delta not in image]
+    for delta in outside:
+        for text in t.decoder.kernel[delta].mass:
+            if text not in t.char_space:
+                raise OutOfTruncation(
+                    f"{delta!r} decodes to {text!r}, of length {len(text)} > truncation "
+                    f"{t.char_space.max_len}"
+                )
+    return sum((q.mass[delta] for delta in outside), Fraction(0))
 
 
 def bounded_variation_probe(f: StochMap, k: int) -> tuple[int, tuple[Str, Str]]:

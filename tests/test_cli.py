@@ -203,6 +203,26 @@ def test_marginalize_all_sums_to_one(capsys):
     assert values["t"] == "13/20"
 
 
+def test_marginalize_all_lists_no_text(capsys, monkeypatch):
+    # every marginal is read off the decoded support; no space of texts is listed
+    bundle = cli.load_spec(str(DATA / "the_vocab.json"), 5)
+    sigma = bundle.tokenizer.char_space.alphabet
+    strings = tk.Space.strings
+
+    def strings_of_tokens_only(space):
+        assert space.alphabet != sigma, f"listed the texts of {space}"
+        return strings(space)
+
+    monkeypatch.setattr(cli, "load_spec", lambda path, max_len: bundle)
+    monkeypatch.setattr(tk.Space, "strings", strings_of_tokens_only)
+    code, out, _ = run_cli(
+        capsys, "marginalize", DATA / "the_vocab.json", DATA / "the_qdist.json",
+        "--all", "--max-len", "5",
+    )
+    assert code == 0
+    assert out == "t\t13/20\nthe\t7/20\ntotal: 1\n"
+
+
 def test_marginalize_off_support(capsys):
     code, out, _ = run_cli(
         capsys, "marginalize", DATA / "the_vocab.json", DATA / "the_qdist.json",

@@ -230,6 +230,21 @@ def test_spurious_ambiguity_mass(munch6, vocab):
     assert tk.spurious_ambiguity_mass(munch6, off) == 1
 
 
+def test_spurious_ambiguity_refuses_texts_past_the_truncation(vocab):
+    # th|th is the greedy encoding of thth, a text the length-2 encoder never sees
+    t = tk.munch_tokenizer(vocab, 2)
+    past = r"Str\('th\|th'\) decodes to Str\('thth'\), of length 4 > truncation 2"
+    with pytest.raises(OutOfTruncation, match=past):
+        tk.spurious_ambiguity_mass(t, dist_from(t.token_space, {"th|th": 1}))
+    # the first such atom in canonical order is named, after atoms inside the truncation
+    q = dist_from(t.token_space, {"he|he": "1/4", "t|h": "1/4", "th|th": "1/4", "e|he": "1/4"})
+    with pytest.raises(OutOfTruncation, match=r"^Str\('e\|he'\) decodes"):
+        tk.spurious_ambiguity_mass(t, q)
+    # atoms whose text lies in the character space are still counted
+    q = dist_from(t.token_space, {"t|h": "1/4", "th": "3/4"})
+    assert tk.spurious_ambiguity_mass(t, q) == Fraction(1, 4)
+
+
 def test_spurious_ambiguity_needs_deterministic_encoder(vocab):
     t = tk.uniform_tokenizer(vocab, 3)
     q = tk.pushforward(t.encoder, dist_from(t.char_space, {"the": 1}))
