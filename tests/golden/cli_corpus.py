@@ -36,6 +36,9 @@ THE, BPE, FIG1 = D + "the_vocab.json", D + "the_bpe.json", D + "fig1.json"
 UNIFORM, STOCHASTIC = G + "uniform.json", G + "stochastic.json"
 QDIST, PSTAR, FIG1_PSTAR = D + "the_qdist.json", D + "the_pstar.json", D + "fig1_pstar.json"
 MISSING = D + "nope.json"
+UNK, NOT_OPEN = G + "spec_unk.json", G + "spec_not_open.json"
+MUNCH_TABLE, BPE_TABLE = G + "spec_munch_table_decoder.json", G + "spec_bpe_table_decoder.json"
+NO_SPELLINGS_CONSTRUCTIVE = G + "spec_constructive_no_spellings.json"
 BAD_SPECS = [D + "malformed.json", MISSING] + [
     G + name
     for name in (
@@ -207,6 +210,23 @@ def commands() -> list[list[str]]:
         ["transduce", G + "spec_no_spellings.json", "--text", "a"],
         ["transduce", THE, "--verify-max-len", "-1"],
     ]
+
+    # spec loader: an unk token, a vocab that is not open, constructive encoders
+    # over a table decoder, and a constructive encoder without spellings
+    loader_specs = [
+        (UNK, 3, ["the", "x", "thx"]),
+        (NOT_OPEN, 1, ["the", "x"]),
+        (MUNCH_TABLE, 1, ["ab", "b"]),
+        (BPE_TABLE, 1, ["ab", "b"]),
+        (NO_SPELLINGS_CONSTRUCTIVE, 1, ["a"]),
+    ]
+    for spec, n, spec_texts in loader_specs:
+        for check_n in (0, 1, 2):
+            cmds.append(["check", spec, *_len(check_n)])
+        cmds.append(["check", spec, *_len(n), "--json"])
+        for text in spec_texts:
+            cmds.append(["preimages", spec, *_len(n), "--text", text])
+            cmds.append(["transduce", spec, *_len(n), "--text", text, "--verify-max-len", "2"])
     return cmds
 
 
