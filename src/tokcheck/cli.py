@@ -84,8 +84,8 @@ def _document(kind: str):
         raise ParseError(f"bad {kind}: {exc}") from exc
 
 
-def _table_map(rows, dom_space: Space, cod_space: Space) -> StochMap:
-    raw = _parse_table(rows, dom_space.alphabet, cod_space.alphabet)
+def _table_map(raw: dict, dom_space: Space, cod_space: Space) -> StochMap:
+    """The map of `_parse_table`'s rows, which must cover the whole domain space."""
     missing = dom_space.size() - len(raw)
     if missing:
         raise ParseError(f"table is missing {missing} row(s); it must cover the whole domain")
@@ -149,7 +149,7 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
     char_space, token_space = Space(sigma, n), Space(delta, m)
 
     if enc_type == "table":
-        encoder = _table_map(enc_doc["table"], char_space, token_space)
+        encoder = _table_map(enc_raw, char_space, token_space)
     elif enc_type in ("maximal_munch", "bpe", "uniform"):
         if vocab is None:
             raise ParseError("constructive encoders need a spelling for every vocab entry")
@@ -166,7 +166,7 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
         raise ParseError(f"unknown encoder type {enc_type!r}")
 
     if dec_type == "table":
-        decoder = _table_map(dec_doc["table"], token_space, Space(sigma, n_out))
+        decoder = _table_map(dec_raw, token_space, Space(sigma, n_out))
     elif dec_type == "concat":
         decoder = concat_decoder(vocab, m)
     else:

@@ -56,14 +56,6 @@ class Dist:
         object.__setattr__(self, "mass", clean)
 
     @classmethod
-    def _point(cls, x: Str, space: Space) -> Dist:
-        # fast path for a point mass on a string already known to lie in the space
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "mass", {x: _ONE})
-        return obj
-
-    @classmethod
     def _of_masses(cls, space: Space, mass: dict[Str, Fraction]) -> Dist:
         # fast path for masses known to be positive Fractions on strings of the
         # space that sum to 1, such as a mix of distributions by positive weights
@@ -115,9 +107,9 @@ def _require_increasing(counts: Sequence[int]) -> None:
 
 
 def point_mass(x: Str, space: Space) -> Dist:
-    """The distribution concentrated on a single string."""
+    """The distribution concentrated on a single string, checked once to lie in the space."""
     space.require(x)
-    return Dist(space, {x: Fraction(1)})
+    return Dist._of_masses(space, {x: _ONE})
 
 
 def random_dist(space: Space, rng: random.Random, max_support: int = 6) -> Dist:

@@ -131,18 +131,24 @@ class MergeList:
         merged.validate(vocab)
         return merged
 
-    def validate(self, vocab: Vocab) -> None:
+    def validate(self, vocab: Vocab) -> list[tuple[int, int, int]]:
+        """The (left, right, merged) tokens of each merge, in order; raises at the first bad one."""
+        resolved = []
         for left, right in self.pairs:
-            if vocab.token_by_spelling(left.syms + right.syms) is None:
+            merged = vocab.token_by_spelling(left.syms + right.syms)
+            if merged is None:
                 raise ValueError(
                     f"merge ({left.render()}, {right.render()}) does not spell any vocab entry"
                 )
-            for part in (left, right):
-                if vocab.token_by_spelling(part.syms) is None:
+            parts = [vocab.token_by_spelling(part.syms) for part in (left, right)]
+            for part, j in zip((left, right), parts):
+                if j is None:
                     raise ValueError(
                         f"merge ({left.render()}, {right.render()}) can never fire: "
                         f"its part {part.render()!r} does not spell any vocab entry"
                     )
+            resolved.append((*parts, merged))
+        return resolved
 
 
 def decode_tokens(vocab: Vocab, delta: Str) -> Str:
@@ -258,9 +264,9 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
     behind: the merged token spells left·right, so it differs from both
     parts, and two tokens the pass left adjacent were already adjacent and
     not the pair. The within-merge order is this library's convention;
-    outputs are deterministic given the rule list. A merge list that was
-    never validated against the vocab raises `MergeList.validate`'s error
-    when a merge it reaches does not spell vocab entries.
+    outputs are deterministic given the rule list. The merges' tokens come
+    from `MergeList.validate` after the base-character pass, so
+    MissingBaseCharacter is raised first, then `validate`'s error.
     """
     if sigma.alphabet != vocab.sigma:
         raise ValueError("input is not over the vocabulary's character alphabet")
@@ -272,12 +278,7 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
                 f"character {vocab.sigma.labels[c]!r} has no single-character vocab entry"
             )
         seq.append(j)
-    for left, right in merges.pairs:
-        left_j = vocab.token_by_spelling(left.syms)
-        right_j = vocab.token_by_spelling(right.syms)
-        merged = vocab.token_by_spelling(left.syms + right.syms)
-        if None in (left_j, right_j, merged):
-            merges.validate(vocab)  # raises, naming this merge: every earlier one passed
+    for left_j, right_j, merged in merges.validate(vocab):
         out: list[int] = []
         i = 0
         while i < len(seq):

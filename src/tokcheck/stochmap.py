@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dist import Dist, point_mass
+from .dist import _ONE, Dist, point_mass
 from .errors import (
     NotDeterministic,
     OutOfDomain,
@@ -72,7 +72,7 @@ class _PointKernel(Mapping):
         self._cod_space = cod_space
 
     def __getitem__(self, x: Str) -> Dist:
-        return Dist._point(self._values[x], self._cod_space)
+        return Dist._of_masses(self._cod_space, {self._values[x]: _ONE})
 
     def __iter__(self) -> Iterator[Str]:
         return iter(self._values)
@@ -114,7 +114,8 @@ class StochMap:
                 (values[x],) = row.mass
         if len(values) < len(rows):  # a stochastic row: keep every row as a distribution
             kernel = {
-                x: Dist._point(r, cod_space) if isinstance(r, Str) else r for x, r in rows.items()
+                x: Dist._of_masses(cod_space, {r: _ONE}) if isinstance(r, Str) else r
+                for x, r in rows.items()
             }
             self._fill(dom_space, cod_space, kernel, None, None)
         else:

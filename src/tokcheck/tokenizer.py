@@ -12,6 +12,7 @@ ambiguity mass, and the bounded-variation probe.
 from __future__ import annotations
 
 import random
+from itertools import groupby
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -335,7 +336,8 @@ def bounded_variation_probe(f: StochMap, k: int) -> tuple[int, tuple[Str, Str]]:
     values = dict(f.values)  # a spelling map computes each value on lookup; read each once
     alpha = f.dom_space.alphabet
     m = f.dom_space.max_len
-    suffixes = _strings_by_length(alpha, min(k, m))
+    # canonical order lists strings by length, so each group is one length's strings
+    suffixes = [list(group) for _, group in groupby(enumerate_strings(alpha, min(k, m)), key=len)]
     first = f.dom_space.empty()
     best, witness = 0, (first, first)
     for c in f.dom_space.strings():
@@ -359,10 +361,3 @@ def bounded_variation_probe(f: StochMap, k: int) -> tuple[int, tuple[Str, Str]]:
                         if d > best:
                             best, witness = d, (gamma_u, gamma_v)
     return best, witness
-
-
-def _strings_by_length(alphabet, up_to: int):
-    buckets: list[list[Str]] = [[] for _ in range(up_to + 1)]
-    for s in enumerate_strings(alphabet, up_to):
-        buckets[len(s)].append(s)
-    return buckets

@@ -368,7 +368,8 @@ def test_transducer_round_trip(vocab):
 def test_table_round_trip(fig1):
     t, _ = fig1
     rows = cli.table_rows(t.encoder)
-    rebuilt = cli._table_map(rows, t.char_space, t.token_space)
+    raw = cli._parse_table(rows, t.char_space.alphabet, t.token_space.alphabet)
+    rebuilt = cli._table_map(raw, t.char_space, t.token_space)
     assert rebuilt == t.encoder
 
 
