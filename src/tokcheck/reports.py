@@ -90,7 +90,8 @@ class ProbeReport:
     since consistency with the point mass on x is the round-trip row at x
     being that point mass. For an inexact tokenizer it exhibits a
     point-mass distribution the tokenizer is inconsistent with: exact is the
-    exactness verdict, and counterexample is then its witness.
+    exactness verdict, and counterexample is then its witness. An exact
+    report that is not ok names the distribution it found not preserved.
     """
 
     exact: bool
@@ -100,6 +101,8 @@ class ProbeReport:
     detail: str = ""
 
     def describe(self) -> str:
+        if self.exact and not self.ok:
+            return f"exact; {self.detail or 'distribution not preserved'}: {_show(self.counterexample)}"
         if self.exact:
             return f"exact; consistent on {self.trials} random distributions and all point masses"
         if self.counterexample is not None:

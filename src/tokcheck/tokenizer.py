@@ -96,8 +96,10 @@ def exact_iff_all_consistent_probe(t: Tokenizer, trials: int = 100, seed: int = 
     consistency is then checked against `trials` random distributions. If
     it is not, `is_exact`'s witness is the first string the round trip
     moves, so the point mass on it is inconsistent without pushing it
-    through either map.
+    through either map. A negative `trials` raises ValueError.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     exact = is_exact(t)
     if exact:
         rng = random.Random(seed)

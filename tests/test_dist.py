@@ -267,3 +267,9 @@ def test_sample_counts_read_as_many_bits_as_randrange(monkeypatch):
 def test_sample_counts_rejects_negative_count():
     with pytest.raises(ValueError, match="sample count must be >= 0"):
         tk.sample_counts(tk.point_mass(SP.empty(), SP), 0, -1)
+
+
+def test_repr_lists_the_support_in_canonical_order():
+    a, b = tk.parse_str(AB, "a"), tk.parse_str(AB, "ab")
+    d = tk.Dist(SP, {b: Fraction(1, 2), a: Fraction(1, 3), SP.empty(): Fraction(1, 6)})
+    assert repr(d) == "Dist({ε: 1/6, a: 1/3, ab: 1/2})"

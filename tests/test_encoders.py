@@ -270,3 +270,36 @@ def test_segmentations_match_brute_force(vocab):
         groups.setdefault(tk.decode_tokens(vocab, delta), []).append(delta)
     for sigma in tk.Space(vocab.sigma, n).strings():
         assert tk.segmentations(vocab, sigma) == groups.get(sigma, [])
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([], "vocabulary must be nonempty"),
+        ([("t", "t"), ("t", "h")], "token labels must be distinct"),
+        ([("t", "t"), ("a", "a")], "every spelling must be over the character alphabet"),
+        ([("t", "t"), ("none", "ε")], "spellings must be nonempty"),
+        ([("t", "t"), ("t2", "t")], "spellings must be distinct"),
+    ],
+)
+def test_vocab_rejects_bad_entries(sigma, entries, message):
+    # "a" is no character of sigma, so it is parsed over an alphabet of its own
+    other = tk.Alphabet(("a",))
+    parsed = [(label, tk.parse_str(other if sp == "a" else sigma, sp)) for label, sp in entries]
+    with pytest.raises(ValueError) as info:
+        tk.Vocab(sigma, parsed)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        lambda vocab, text: tk.maximal_munch_encode(vocab, text),
+        lambda vocab, text: tk.bpe_encode(vocab, tk.MergeList(()), text),
+    ],
+    ids=["maximal_munch", "bpe"],
+)
+def test_encoders_reject_input_over_another_alphabet(vocab, encode):
+    foreign = tk.parse_str(tk.Alphabet(("a",)), "a")
+    with pytest.raises(ValueError, match="^input is not over the vocabulary's character alphabet$"):
+        encode(vocab, foreign)

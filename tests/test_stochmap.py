@@ -256,3 +256,10 @@ def test_l1_contraction_on_random_triples():
         f = random_map(x, y, rng)
         p, q = random_dist(x, rng), random_dist(x, rng)
         assert tk.l1_distance(tk.pushforward(f, p), tk.pushforward(f, q)) <= tk.l1_distance(p, q)
+
+
+def test_is_surjective_rejects_a_target_over_another_alphabet():
+    foreign = tk.Space(tk.Alphabet(("c",)), 2)
+    message = "^surjectivity target must share the codomain alphabet$"
+    with pytest.raises(SpaceMismatch, match=message):
+        tk.is_surjective(tk.identity_map(SP2), onto=foreign)

@@ -543,3 +543,46 @@ def test_marginalize_error_precedence(fig1, vocab):
     for sigma in (tk.parse_str(t.char_space.alphabet, "s2"), t.char_space.empty()):
         with pytest.raises(AlphabetMismatch):
             tk.marginalize(munch, q, sigma)
+
+
+def test_probe_report_that_is_not_ok_names_the_distribution_not_preserved():
+    space = tk.Space(tk.Alphabet(("a",)), 1)
+    p = tk.point_mass(space.empty(), space)
+    report = tk.ProbeReport(True, 5, False, p, "random distribution not preserved")
+    assert report.describe() == "exact; random distribution not preserved: Dist({ε: 1})"
+    bare = tk.ProbeReport(True, 5, False, p)
+    assert bare.describe() == "exact; distribution not preserved: Dist({ε: 1})"
+
+
+@pytest.mark.parametrize("trials", [-1, -3])
+def test_probe_rejects_a_negative_trial_count(vocab, fig1, trials):
+    for t in (tk.munch_tokenizer(vocab, 2), fig1[0]):
+        with pytest.raises(ValueError, match=r"^trials must be >= 0$"):
+            tk.exact_iff_all_consistent_probe(t, trials=trials)
+
+
+def _space_mismatch_decoder(vocab, case):
+    """A decoder that breaks one of `Tokenizer`'s space checks against a greedy encoder at n=2."""
+    if case == "domain":
+        return tk.concat_decoder(vocab, 3)
+    dom = tk.Space(vocab.delta, 2)
+    if case == "alphabet":
+        cod = tk.Space(tk.Alphabet(("z",)), 4)
+    else:
+        cod = tk.Space(vocab.sigma, 1)
+    return tk.StochMap(dom, cod, {x: cod.empty() for x in dom.strings()})
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("domain", "encoder codomain must equal decoder domain"),
+        ("alphabet", "decoder must map back to the encoder's character alphabet"),
+        ("truncation", "decoder output truncation must cover the encoder domain"),
+    ],
+)
+def test_tokenizer_rejects_mismatched_spaces(vocab, case, message):
+    encoder = tk.munch_encoder(vocab, 2)
+    assert tk.Tokenizer(encoder, tk.concat_decoder(vocab, 2))
+    with pytest.raises(SpaceMismatch, match=f"^{message}$"):
+        tk.Tokenizer(encoder, _space_mismatch_decoder(vocab, case))

@@ -330,3 +330,48 @@ def test_equivalent_on_compares_like_the_oracle(machine, vocab, kind, fails_at):
     assert type(got) is tk.Str and got.alphabet is machine.output_alphabet
     assert got == tk.run(machine, gamma)
     assert want is not got and type(want) is type(encode(gamma))
+
+
+_A = tk.Alphabet(("a",))
+_X = tk.Alphabet(("x",), tk.TOKENS)
+_X_EPS, _A_EPS = tk.Str(_X, ()), tk.Str(_A, ())
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"states": ("q0", "q0")}, "state names must be distinct"),
+        ({"initial": "q1"}, "initial state must be a declared state"),
+        ({"output": {}}, "next-state and output tables must share one domain"),
+        (
+            {"next_state": {("q0", 0): "q1"}},
+            "transition ('q0', 0) references an undeclared state",
+        ),
+        (
+            {"next_state": {("q0", 1): "q0"}, "output": {("q0", 1): _X_EPS}},
+            "transition symbol 1 outside the input alphabet",
+        ),
+        ({"output": {("q0", 0): _A_EPS}}, "output at ('q0', 0) is not over the output alphabet"),
+        ({"terminal": {}}, "terminal function must be defined on every state"),
+        ({"terminal": {"q0": _A_EPS}}, "terminal output at 'q0' is not over the output alphabet"),
+    ],
+)
+def test_transducer_rejects_malformed_tables(change, message):
+    parts = {
+        "states": ("q0",),
+        "input_alphabet": _A,
+        "output_alphabet": _X,
+        "initial": "q0",
+        "next_state": {("q0", 0): "q0"},
+        "output": {("q0", 0): _X_EPS},
+        "terminal": {"q0": _X_EPS},
+    }
+    assert tk.SubseqTransducer(**parts)
+    with pytest.raises(ValueError) as info:
+        tk.SubseqTransducer(**{**parts, **change})
+    assert str(info.value) == message
+
+
+def test_run_rejects_input_over_another_alphabet(machine):
+    with pytest.raises(ValueError, match="^input is not over the transducer's input alphabet$"):
+        tk.run(machine, tk.Str(_A, (0,)))
