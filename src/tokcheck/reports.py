@@ -102,7 +102,8 @@ class ProbeReport:
 
     def describe(self) -> str:
         if self.exact and not self.ok:
-            return f"exact; {self.detail or 'distribution not preserved'}: {_show(self.counterexample)}"
+            detail = self.detail or "distribution not preserved"
+            return f"exact; {detail}: {_show(self.counterexample)}"
         if self.exact:
             return f"exact; consistent on {self.trials} random distributions and all point masses"
         if self.counterexample is not None:

@@ -12,9 +12,9 @@ ambiguity mass, and the bounded-variation probe.
 from __future__ import annotations
 
 import random
-from itertools import groupby
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from .dist import Dist, random_dist
