@@ -583,6 +583,6 @@ def _space_mismatch_decoder(vocab, case):
 )
 def test_tokenizer_rejects_mismatched_spaces(vocab, case, message):
     encoder = tk.munch_encoder(vocab, 2)
-    assert tk.Tokenizer(encoder, tk.concat_decoder(vocab, 2))
+    tk.Tokenizer(encoder, tk.concat_decoder(vocab, 2))  # the matching decoder passes
     with pytest.raises(SpaceMismatch, match=f"^{message}$"):
         tk.Tokenizer(encoder, _space_mismatch_decoder(vocab, case))

@@ -366,7 +366,7 @@ def test_transducer_rejects_malformed_tables(change, message):
         "output": {("q0", 0): _X_EPS},
         "terminal": {"q0": _X_EPS},
     }
-    assert tk.SubseqTransducer(**parts)
+    tk.SubseqTransducer(**parts)  # the unchanged tables are well formed
     with pytest.raises(ValueError) as info:
         tk.SubseqTransducer(**{**parts, **change})
     assert str(info.value) == message
