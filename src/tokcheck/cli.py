@@ -24,7 +24,7 @@ from .dist import Dist
 from .encoders import (
     MergeList,
     Vocab,
-    bpe_encode,
+    _bpe_encoder,
     concat_decoder,
     maximal_munch_encode,
     munch_encoder,
@@ -157,8 +157,7 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
             encoder = munch_encoder(vocab, n, enc_doc.get("unk_token"), m)
         elif enc_type == "bpe":
             merges = MergeList.from_texts(vocab, [tuple(p) for p in enc_doc["merges"]])
-            proc = lambda s: bpe_encode(vocab, merges, s)
-            encoder = materialize(proc, char_space, token_space)
+            encoder = _bpe_encoder(vocab, merges, char_space, token_space)
         else:
             proc = lambda s: uniform_segmenter(vocab, s)
             encoder = materialize(proc, char_space, token_space)

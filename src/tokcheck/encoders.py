@@ -268,6 +268,12 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
     from `MergeList.validate` after the base-character pass, so
     MissingBaseCharacter is raised first, then `validate`'s error.
     """
+    seq = _base_tokens(vocab, sigma)
+    return _merged(vocab, merges.validate(vocab), seq)
+
+
+def _base_tokens(vocab: Vocab, sigma: Str) -> list[int]:
+    """The single-character token of each symbol of sigma: BPE's starting sequence."""
     if sigma.alphabet != vocab.sigma:
         raise ValueError("input is not over the vocabulary's character alphabet")
     seq: list[int] = []
@@ -278,7 +284,12 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
                 f"character {vocab.sigma.labels[c]!r} has no single-character vocab entry"
             )
         seq.append(j)
-    for left_j, right_j, merged in merges.validate(vocab):
+    return seq
+
+
+def _merged(vocab: Vocab, triples: list[tuple[int, int, int]], seq: list[int]) -> Str:
+    """The token sequence after one pass of each resolved merge, in list order."""
+    for left_j, right_j, merged in triples:
         out: list[int] = []
         i = 0
         while i < len(seq):
@@ -322,11 +333,25 @@ def munch_tokenizer(vocab: Vocab, max_len: int, unk_token: str | None = None) ->
     return Tokenizer(munch_encoder(vocab, max_len, unk_token), concat_decoder(vocab, max_len))
 
 
+def _bpe_encoder(
+    vocab: Vocab, merges: MergeList, char_space: Space, token_space: Space
+) -> StochMap:
+    """`bpe_encode` tabulated over char_space, with the merges resolved once for every text.
+
+    Tabulation starts at ε, which has no base character to miss, so a bad
+    merge raises `validate`'s ValueError before any text, just as
+    tabulating `bpe_encode` text by text would; a missing base character
+    is then wrapped as ProcUndefined at the same first text.
+    """
+    triples = merges.validate(vocab)
+    return materialize(
+        lambda s: _merged(vocab, triples, _base_tokens(vocab, s)), char_space, token_space
+    )
+
+
 def bpe_tokenizer(vocab: Vocab, merges: MergeList, max_len: int) -> Tokenizer:
     """Merge-based encoder over texts of length <= max_len with the concatenating decoder."""
-    char_space = Space(vocab.sigma, max_len)
-    token_space = Space(vocab.delta, max_len)
-    encoder = materialize(lambda s: bpe_encode(vocab, merges, s), char_space, token_space)
+    encoder = _bpe_encoder(vocab, merges, Space(vocab.sigma, max_len), Space(vocab.delta, max_len))
     return Tokenizer(encoder, concat_decoder(vocab, max_len))
 
 

@@ -91,7 +91,9 @@ class ProbeReport:
     being that point mass. For an inexact tokenizer it exhibits a
     point-mass distribution the tokenizer is inconsistent with: exact is the
     exactness verdict, and counterexample is then its witness. An exact
-    report that is not ok names the distribution it found not preserved.
+    report that is not ok names the distribution it found not preserved;
+    an inexact one that is not ok names the point mass it did not show
+    inconsistent.
     """
 
     exact: bool
@@ -106,6 +108,9 @@ class ProbeReport:
             return f"exact; {detail}: {_show(self.counterexample)}"
         if self.exact:
             return f"exact; consistent on {self.trials} random distributions and all point masses"
-        if self.counterexample is not None:
-            return f"not exact; inconsistent with point mass on {_show(self.counterexample)}"
-        return "not exact; no counterexample produced"
+        if self.counterexample is None:
+            return "not exact; no counterexample produced"
+        shown = _show(self.counterexample)
+        if self.ok:
+            return f"not exact; inconsistent with point mass on {shown}"
+        return f"not exact; point mass on {shown} not shown inconsistent"

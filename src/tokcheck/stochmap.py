@@ -232,14 +232,26 @@ def compose(g: StochMap, f: StochMap) -> StochMap:
 
 
 def pushforward(f: StochMap, p: Dist) -> Dist:
-    """The image distribution: result(y) = sum_x f(y | x) p(x)."""
+    """The image distribution: result(y) = sum_x f(y | x) p(x).
+
+    Every row is a distribution over the codomain and p is one over the
+    domain, so the sums are positive, lie in the codomain and add up to 1,
+    and the result is built without checking them again. A map that stores
+    values adds p(x) at the value of x; any other map sums its kernel rows.
+    """
     if p.space != f.dom_space:
         raise SpaceMismatch("distribution does not live over the map's domain")
     acc: dict[Str, Fraction] = {}
-    for x, px in p.mass.items():
-        for y, pyx in f.kernel[x].mass.items():
-            acc[y] = acc.get(y, Fraction(0)) + px * pyx
-    return Dist(f.cod_space, acc)
+    values = f.values
+    if values is not None:
+        for x, px in p.mass.items():
+            y = values[x]
+            acc[y] = acc.get(y, 0) + px
+    else:
+        for x, px in p.mass.items():
+            for y, pyx in f.kernel[x].mass.items():
+                acc[y] = acc.get(y, 0) + px * pyx
+    return Dist._of_masses(f.cod_space, acc)
 
 
 def support_of(f: StochMap) -> set[Str]:

@@ -217,7 +217,18 @@ def factorizations(
     Each level is then lexicographic and levels come shortest first, so
     results are in canonical order (length first, then lexicographic) as
     they are found. Pieces may repeat; each index is tried on its own.
+
+    Only a piece that starts with the next target symbol, or is empty, can
+    prefix the rest, so the pieces are grouped once by first symbol, each
+    group in piece-index order with every empty piece in its place, and a
+    node tries only its symbol's group. The extensions, and their order,
+    are those of trying every piece.
     """
+    empty: list[tuple[int, tuple[int, ...]]] = []
+    by_first = {piece[0]: [] for piece in pieces if piece}
+    for j, piece in enumerate(pieces):
+        for group in [by_first[piece[0]]] if piece else [*by_first.values(), empty]:
+            group.append((j, piece))
     found: list[tuple[int, ...]] = []
     level: list[tuple[tuple[int, ...], int]] = [((), 0)]
     while level:
@@ -226,7 +237,7 @@ def factorizations(
             if pos == len(target):
                 found.append(parts)
             elif len(parts) < max_parts:
-                for j, piece in enumerate(pieces):
+                for j, piece in by_first.get(target[pos], empty):
                     if target[pos : pos + len(piece)] == piece:
                         longer.append((parts + (j,), pos + len(piece)))
         level = longer

@@ -58,11 +58,22 @@ class Tokenizer:
 def is_exact(t: Tokenizer) -> Verdict:
     """True iff decode after encode is the identity on every domain string.
 
-    A deterministic encoder's row whose value decodes to sigma alone is the
-    identity without any arithmetic; every other row is pushed through the
-    decoder in full.
+    The witness is the first failing string in canonical order. When the
+    encoder stores values and the decoder is built from spellings, one pass
+    over the encoder's values compares each value's concatenated spellings
+    with the symbols of its text, building no row. The Tokenizer
+    constructor guarantees that every value lies in the decoder's domain
+    and every text in its codomain, so nothing else is checked. A caller's
+    map keeps its own row order, so the witness is the canonical minimum of
+    the failing texts. Otherwise a deterministic encoder's row whose value
+    decodes to sigma alone is the identity without any arithmetic, and
+    every other row is pushed through the decoder in full.
     """
     values, decoder = t.encoder.values, t.decoder
+    if values is not None and decoder.spellings is not None:
+        image = decoder.values.image
+        failed = [sigma for sigma, delta in values.items() if image(delta) != sigma.syms]
+        return Verdict.failed(min(failed, key=Str.sort_key)) if failed else Verdict.passed()
     for sigma in t.char_space.strings():
         if values is not None and decoder.row_is_point(values[sigma], sigma):
             continue
@@ -288,12 +299,19 @@ def marginalize(t: Tokenizer, q: Dist, sigma: Str) -> Fraction:
     every one of them in q's support lies in the token space, so the mass is
     the sum of q over the atoms of its support whose decoder row is the
     point mass on sigma. For the empty text that is q(ε) alone, since a
-    trivial kernel decodes only ε to ε.
+    trivial kernel decodes only ε to ε. On a decoder built from spellings
+    each atom's concatenated spellings are compared with sigma's symbols:
+    q lives over the token space, which is the decoder's domain, and sigma
+    lies in the character space, which the decoder's codomain covers, so
+    neither needs checking per atom.
     """
     if q.space != t.token_space:
         raise SpaceMismatch("distribution must live over the token space")
     _require_preimage_query(t, sigma)
     decoder = t.decoder
+    if decoder.spellings is not None:
+        image, syms = decoder.values.image, sigma.syms
+        return sum((m for delta, m in q.mass.items() if image(delta) == syms), Fraction(0))
     return sum(
         (m for delta, m in q.mass.items() if decoder.row_is_point(delta, sigma)), Fraction(0)
     )

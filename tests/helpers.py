@@ -234,6 +234,17 @@ def oracle_random_dist(space, rng, max_support=6):
     return tk.Dist(space, {s: Fraction(w, total) for s, w in zip(support, weights)})
 
 
+def oracle_pushforward(f, p):
+    """Pushforward through every kernel row, the result checked again as a new `Dist`."""
+    if p.space != f.dom_space:
+        raise SpaceMismatch("distribution does not live over the map's domain")
+    acc = {}
+    for x, px in p.mass.items():
+        for y, pyx in f.kernel[x].mass.items():
+            acc[y] = acc.get(y, Fraction(0)) + px * pyx
+    return tk.Dist(f.cod_space, acc)
+
+
 def oracle_is_exact(t):
     """Exactness by summing the full round-trip row at every domain string."""
     for sigma in t.char_space.strings():

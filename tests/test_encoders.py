@@ -1,16 +1,19 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tokcheck as tk
+from tokcheck import cli
 from tokcheck.errors import (
     MissingBaseCharacter,
     NoMatchingPrefix,
     NoSegmentation,
+    ProcUndefined,
     TruncationOverflow,
     VocabNotOpen,
 )
@@ -300,3 +303,38 @@ def test_encoders_reject_input_over_another_alphabet(vocab, encode):
     foreign = tk.parse_str(tk.Alphabet(("a",)), "a")
     with pytest.raises(ValueError, match="^input is not over the vocabulary's character alphabet$"):
         encode(vocab, foreign)
+
+
+def test_bpe_spec_load_resolves_the_merges_at_most_twice(monkeypatch):
+    """`from_texts` validates once and tabulation resolves once, not once per text."""
+    calls = 0
+    validate = tk.MergeList.validate
+
+    def counting(merges, vocab):
+        nonlocal calls
+        calls += 1
+        return validate(merges, vocab)
+
+    monkeypatch.setattr(tk.MergeList, "validate", counting)
+    bundle = cli.load_spec(str(Path(__file__).parent / "data" / "the_bpe.json"), 8)
+    assert bundle.tokenizer.char_space.size() == 9841
+    assert calls <= 2
+    calls = 0
+    vocab = bundle.vocab
+    merges = tk.MergeList.from_texts(vocab, [("h", "e"), ("t", "h")])
+    t = tk.bpe_tokenizer(vocab, merges, 6)
+    assert calls == 2
+    for x in t.char_space.strings():
+        assert t.encoder.values[x] == oracle_bpe_encode(vocab, merges, x)
+
+
+def test_bpe_tokenizer_raises_validate_error_before_a_missing_base_character(sigma):
+    """Tabulation starts at ε, so an unvalidated bad merge fails before any text is encoded."""
+    h, t = tk.parse_str(sigma, "h"), tk.parse_str(sigma, "t")
+    vocab = tk.Vocab.from_texts(sigma, [("t", "t"), ("h", "h")])  # no entry for "e"
+    with pytest.raises(ValueError, match=r"merge \(h, t\) does not spell any vocab entry"):
+        tk.bpe_tokenizer(vocab, tk.MergeList(((h, t),)), 2)
+    with pytest.raises(ProcUndefined) as info:
+        tk.bpe_tokenizer(vocab, tk.MergeList(()), 2)
+    assert info.value.at == tk.parse_str(sigma, "e")
+    assert isinstance(info.value.cause, MissingBaseCharacter)

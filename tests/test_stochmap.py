@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tokcheck as tk
 from tokcheck import cli
@@ -13,7 +15,14 @@ from tokcheck.errors import (
     ProcUndefined,
     SpaceMismatch,
 )
-from helpers import dist_from, random_dist, random_map, table_map
+from helpers import (
+    dist_from,
+    oracle_pushforward,
+    random_dist,
+    random_map,
+    table_map,
+    tabulated_twin,
+)
 
 
 AB = tk.Alphabet(("a", "b"))
@@ -263,3 +272,35 @@ def test_is_surjective_rejects_a_target_over_another_alphabet():
     message = "^surjectivity target must share the codomain alphabet$"
     with pytest.raises(SpaceMismatch, match=message):
         tk.is_surjective(tk.identity_map(SP2), onto=foreign)
+
+
+@st.composite
+def pushforward_cases(draw):
+    """A spelling, value-table or stochastic map with a random distribution over its domain."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dom = abstract_space("xyz"[: draw(st.integers(1, 3))], draw(st.integers(0, 3)))
+    cod_alpha = tk.Alphabet(tuple("ab"[: draw(st.integers(1, 2))]))
+    kind = draw(st.sampled_from(["spelling", "values", "stochastic"]))
+    spellings = [
+        tk.Str(cod_alpha, [rng.randrange(len(cod_alpha)) for _ in range(rng.randint(0, 2))])
+        for _ in dom.alphabet
+    ]
+    cod = tk.Space(cod_alpha, dom.max_len * max(map(len, spellings)))
+    if kind == "spelling":
+        f = tk.StochMap.from_spellings(dom, cod, spellings)
+    elif kind == "values":
+        f = tabulated_twin(spellings, dom, cod)
+    else:
+        f = random_map(dom, cod, rng)
+    return f, random_dist(dom, rng, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pushforward_cases())
+def test_pushforward_matches_the_validating_oracle(case):
+    """Same masses in the same order as summing every row and checking the result."""
+    f, p = case
+    got, want = tk.pushforward(f, p), oracle_pushforward(f, p)
+    assert got == want
+    assert list(got.mass.items()) == list(want.mass.items())
+    assert all(type(m) is Fraction for m in got.mass.values())

@@ -586,3 +586,63 @@ def test_tokenizer_rejects_mismatched_spaces(vocab, case, message):
     tk.Tokenizer(encoder, tk.concat_decoder(vocab, 2))  # the matching decoder passes
     with pytest.raises(SpaceMismatch, match=f"^{message}$"):
         tk.Tokenizer(encoder, _space_mismatch_decoder(vocab, case))
+
+
+def test_is_exact_witness_is_canonical_when_encoder_rows_come_reversed(vocab):
+    """Encoder rows in reverse canonical order, two texts failing: the canonical first is named."""
+    munch = tk.munch_tokenizer(vocab, 2)
+    delta = vocab.delta
+    values = dict(munch.encoder.values)
+    values[tk.parse_str(vocab.sigma, "t")] = tk.parse_str(delta, "h")
+    values[tk.parse_str(vocab.sigma, "he")] = tk.parse_str(delta, "t|t")
+    rows = dict(reversed(values.items()))
+    encoder = tk.StochMap(munch.char_space, munch.token_space, rows)
+    assert list(encoder.values) == list(reversed(list(munch.char_space.strings())))
+    twin_decoder = tabulated_twin(vocab.spellings(), munch.token_space, munch.decoder.cod_space)
+    for decoder in (munch.decoder, twin_decoder):
+        t = tk.Tokenizer(encoder, decoder)
+        want = oracle_is_exact(t)
+        assert want == tk.Verdict.failed(tk.parse_str(vocab.sigma, "t"))
+        assert tk.is_exact(t) == want
+        assert tk.classify(t).bijective == tk.Verdict.failed(want.witness, "not exact")
+    assert munch.decoder.spellings is not None and twin_decoder.spellings is None
+
+
+def test_spelling_decoder_verdicts_read_no_rows(vocab, monkeypatch):
+    """On a spelling decoder, `is_exact` lists no texts and neither it nor `marginalize` reads a row."""
+    exact = tk.munch_tokenizer(vocab, 4)
+    values = dict(exact.encoder.values)
+    values[tk.parse_str(vocab.sigma, "t")] = tk.parse_str(vocab.delta, "h")
+    encoder = tk.StochMap(exact.char_space, exact.token_space, values)
+    inexact = tk.Tokenizer(encoder, exact.decoder)
+    wants = [oracle_is_exact(t) for t in (exact, inexact)]
+    q = dist_from(exact.token_space, {"t|h|e": "1/2", "th|e": "1/4", "h": "1/4"})
+    texts = [tk.parse_str(vocab.sigma, s) for s in ("the", "h", "t", "")]
+    marginals = [oracle_marginalize(exact, q, s) for s in texts]
+    enumerate_strings = tokcheck.strings.enumerate_strings
+    enumerated = []
+
+    def counting_enumerate(alphabet, max_len):
+        enumerated.append((alphabet, max_len))
+        return enumerate_strings(alphabet, max_len)
+
+    def forbidden(*args):
+        raise AssertionError("row_is_point called")
+
+    monkeypatch.setattr(tokcheck.strings, "enumerate_strings", counting_enumerate)
+    monkeypatch.setattr(tk.StochMap, "row_is_point", forbidden)
+    assert [tk.is_exact(t) for t in (exact, inexact)] == wants
+    assert wants == [tk.Verdict.passed(), tk.Verdict.failed(texts[2])]
+    assert [tk.marginalize(t, q, s) for t in (exact, inexact) for s in texts] == marginals * 2
+    assert marginals == [Fraction(3, 4), Fraction(1, 4), Fraction(0), Fraction(0)]
+    assert enumerated == []
+
+
+def test_inexact_probe_report_that_is_not_ok_does_not_claim_inconsistency():
+    space = tk.Space(tk.Alphabet(("a",)), 1)
+    x = tk.parse_str(space.alphabet, "a")
+    report = tk.ProbeReport(False, 0, False, x)
+    assert report.describe() == "not exact; point mass on a not shown inconsistent"
+    shown = tk.ProbeReport(False, 0, True, x)
+    assert shown.describe() == "not exact; inconsistent with point mass on a"
+    assert tk.ProbeReport(False, 0, False).describe() == "not exact; no counterexample produced"
