@@ -185,17 +185,9 @@ class StochMap:
             yield x, self.kernel[x]
 
     def row_is_point(self, x: Str, y: Str) -> bool:
-        """Whether the row at x is the point mass on y.
-
-        A map built from spellings compares y with the concatenated spellings
-        of x, building no row; any other map reads its row.
-        """
-        if self.spellings is None:
-            mass = kernel_at(self, x).mass
-            return len(mass) == 1 and y in mass
-        if x not in self.values:
-            raise OutOfDomain(f"{x!r} is outside the map's domain")
-        return y in self.cod_space and self.values.image(x) == y.syms
+        """Whether the row at x is the point mass on y; reads the row at x."""
+        mass = kernel_at(self, x).mass
+        return len(mass) == 1 and y in mass
 
     def value_at(self, x: Str) -> Str:
         """The single output of a deterministic row; raises if the row is stochastic."""
@@ -236,21 +228,14 @@ def pushforward(f: StochMap, p: Dist) -> Dist:
 
     Every row is a distribution over the codomain and p is one over the
     domain, so the sums are positive, lie in the codomain and add up to 1,
-    and the result is built without checking them again. A map that stores
-    values adds p(x) at the value of x; any other map sums its kernel rows.
+    and the result is built without checking them again.
     """
     if p.space != f.dom_space:
         raise SpaceMismatch("distribution does not live over the map's domain")
     acc: dict[Str, Fraction] = {}
-    values = f.values
-    if values is not None:
-        for x, px in p.mass.items():
-            y = values[x]
-            acc[y] = acc.get(y, 0) + px
-    else:
-        for x, px in p.mass.items():
-            for y, pyx in f.kernel[x].mass.items():
-                acc[y] = acc.get(y, 0) + px * pyx
+    for x, px in p.mass.items():
+        for y, pyx in f.kernel[x].mass.items():
+            acc[y] = acc.get(y, 0) + px * pyx
     return Dist._of_masses(f.cod_space, acc)
 
 
