@@ -156,7 +156,7 @@ def decode_tokens(vocab: Vocab, delta: Str) -> Str:
     syms: list[int] = []
     for j in delta.syms:
         syms.extend(vocab.spelling(j).syms)
-    return Str(vocab.sigma, syms)
+    return Str._wrap(vocab.sigma, tuple(syms))
 
 
 def concat_decoder(vocab: Vocab, max_tokens: int, out_max_len: int | None = None) -> StochMap:
@@ -192,7 +192,7 @@ def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None)
     is a token of the vocabulary, so the result is built without
     re-checking it.
     """
-    if sigma.alphabet != vocab.sigma:
+    if not (sigma.alphabet is vocab.sigma or sigma.alphabet == vocab.sigma):
         raise ValueError("input is not over the vocabulary's character alphabet")
     unk_index = None
     if unk_token is not None:
@@ -274,7 +274,7 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
 
 def _base_tokens(vocab: Vocab, sigma: Str) -> list[int]:
     """The single-character token of each symbol of sigma: BPE's starting sequence."""
-    if sigma.alphabet != vocab.sigma:
+    if not (sigma.alphabet is vocab.sigma or sigma.alphabet == vocab.sigma):
         raise ValueError("input is not over the vocabulary's character alphabet")
     seq: list[int] = []
     for c in sigma.syms:
@@ -300,7 +300,7 @@ def _merged(vocab: Vocab, triples: list[tuple[int, int, int]], seq: list[int]) -
                 out.append(seq[i])
                 i += 1
         seq = out
-    return Str(vocab.delta, seq)
+    return Str._wrap(vocab.delta, tuple(seq))
 
 
 def segmentations(vocab: Vocab, sigma: Str) -> list[Str]:

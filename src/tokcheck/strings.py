@@ -73,26 +73,33 @@ class Alphabet:
 
 
 class Str:
-    """A finite sequence of symbol indices over a fixed alphabet."""
+    """A finite sequence of symbol indices over a fixed alphabet.
 
-    __slots__ = ("alphabet", "syms", "_hash")
+    A `Str` holds two slots and nothing else: `alphabet` and `syms`, the
+    tuple of indices. Both are set once, through the slot descriptors, and
+    never again. Two strings are equal when their symbols are equal and
+    their alphabets are the same object or equal. The hash is the hash of
+    the symbols alone, computed on each call: equal strings have equal
+    symbols and so hash equal, and equal symbols over different alphabets
+    merely collide.
+    """
+
+    __slots__ = ("alphabet", "syms")
 
     def __init__(self, alphabet: Alphabet, syms: Iterable[int] = ()):
         syms = tuple(syms)
         n = len(alphabet)
         if any(not (0 <= i < n) for i in syms):
             raise ValueError(f"symbol index out of range for alphabet of size {n}")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "syms", syms)
-        object.__setattr__(self, "_hash", hash((alphabet._hash, syms)))
+        _set_alphabet(self, alphabet)
+        _set_syms(self, syms)
 
     @classmethod
     def _wrap(cls, alphabet: Alphabet, syms: tuple[int, ...]) -> "Str":
         # fast path for symbols already known to be valid for the alphabet
         obj = object.__new__(cls)
-        object.__setattr__(obj, "alphabet", alphabet)
-        object.__setattr__(obj, "syms", syms)
-        object.__setattr__(obj, "_hash", hash((alphabet._hash, syms)))
+        _set_alphabet(obj, alphabet)
+        _set_syms(obj, syms)
         return obj
 
     def __setattr__(self, name, value):
@@ -102,7 +109,7 @@ class Str:
         return len(self.syms)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.syms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Str):
@@ -128,6 +135,11 @@ class Str:
             return "ε"
         sep = "|" if self.alphabet.role == TOKENS else ""
         return sep.join(self.labels())
+
+
+# Str.__setattr__ refuses every write, so the constructors store through these.
+_set_alphabet = Str.alphabet.__set__
+_set_syms = Str.syms.__set__
 
 
 def empty(alphabet: Alphabet) -> Str:

@@ -230,7 +230,7 @@ def decoder_eligibility(t: Tokenizer) -> Verdict:
     """
     decoder = t.decoder
     spellings = decoder.spellings
-    if spellings is not None and all(spellings):
+    if spellings is not None and all(sp.syms for sp in spellings):
         return Verdict.passed()
     if decoder.values is None:
         return Verdict.failed(None, "decoder is stochastic")
@@ -258,7 +258,8 @@ def _require_preimage_query(t: Tokenizer, sigma: Str) -> None:
     preimages, so it is refused rather than answered in part.
     """
     require_eligible_decoder(t)
-    if sigma.alphabet != t.char_space.alphabet:
+    alphabet = t.char_space.alphabet
+    if not (sigma.alphabet is alphabet or sigma.alphabet == alphabet):
         raise AlphabetMismatch("input text is not over the decoder's output alphabet")
     t.char_space.require(sigma)
 

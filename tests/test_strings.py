@@ -164,3 +164,30 @@ def test_space_at_is_the_canonical_enumeration(k):
         for i in (-1, len(listed)):
             with pytest.raises(IndexError):
                 space.at(i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_str_value_contract(data):
+    labels = data.draw(
+        st.lists(st.text("abc", min_size=1, max_size=2), min_size=1, max_size=4, unique=True)
+    )
+    syms = tuple(data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=6)))
+    alphabet = tk.Alphabet(tuple(labels))
+    twin = tk.Alphabet(tuple(labels))  # equal, but a distinct object
+    assert twin is not alphabet and twin == alphabet
+    forms = [tk.Str(alphabet, syms), tk.Str._wrap(alphabet, syms), tk.Str(twin, syms)]
+    for x in forms:
+        table = {x: "found"}
+        for y in forms:
+            assert x == y and hash(x) == hash(y)
+            assert table.get(y) == "found"
+        assert x != syms and syms not in table
+    # the same symbols over an unequal alphabet may share a hash but are another string
+    other = tk.Str(tk.Alphabet(tuple(labels) + ("z",)), syms)
+    assert other != forms[0] and other not in {forms[0]: None}
+    for x in forms:
+        for name, value in (("alphabet", twin), ("syms", ()), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+        assert x.alphabet == alphabet and x.syms == syms
