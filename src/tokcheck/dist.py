@@ -132,11 +132,20 @@ def _require_same_space(p: Dist, q: Dist) -> None:
 
 
 def l1_distance(p: Dist, q: Dist) -> Fraction:
-    """Exact sum of |p(x) - q(x)| over the union of supports."""
+    """Exact sum of |p(x) - q(x)| over the union of supports.
+
+    One pass over p's atoms looks each up in q, and a second adds q's
+    mass off p's support, so each key is hashed once per side.
+    """
     _require_same_space(p, q)
+    p_mass, q_mass = p.mass, q.mass
     total = Fraction(0)
-    for x in p.mass.keys() | q.mass.keys():
-        total += abs(p.mass_of(x) - q.mass_of(x))
+    for x, px in p_mass.items():
+        qx = q_mass.get(x)
+        total += px if qx is None else abs(px - qx)
+    for x, qx in q_mass.items():
+        if x not in p_mass:
+            total += qx
     return total
 
 

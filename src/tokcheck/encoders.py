@@ -22,7 +22,7 @@ from .errors import (
     TruncationOverflow,
     VocabNotOpen,
 )
-from .stochmap import StochMap, materialize
+from .stochmap import StochMap, _ValuesOnLookup, materialize
 from .strings import TOKENS, Alphabet, Space, Str, factorizations, parse_str
 from .tokenizer import Tokenizer
 
@@ -153,6 +153,8 @@ class MergeList:
 
 def decode_tokens(vocab: Vocab, delta: Str) -> Str:
     """Concatenate the spellings of a token sequence."""
+    if not (delta.alphabet is vocab.delta or delta.alphabet == vocab.delta):
+        raise ValueError("input is not over the vocabulary's token alphabet")
     syms: list[int] = []
     for j in delta.syms:
         syms.extend(vocab.spelling(j).syms)
@@ -182,6 +184,29 @@ def concat_decoder(vocab: Vocab, max_tokens: int, out_max_len: int | None = None
     return StochMap.from_spellings(dom, cod, vocab.spellings())
 
 
+def _greedy(vocab: Vocab, text: tuple[int, ...], unk_index: int | None) -> tuple[int, ...]:
+    """Greedy longest match over a symbol tuple, the one loop behind every greedy encoding.
+
+    A position no spelling matches emits unk_index and consumes one
+    character, or raises NoMatchingPrefix there when unk_index is None.
+    """
+    end = len(text)
+    lens = vocab.spelling_lens
+    out: list[int] = []
+    pos = 0
+    while pos < end:
+        j = vocab.longest_match(text, pos)
+        if j is None:
+            if unk_index is None:
+                raise NoMatchingPrefix(pos)
+            out.append(unk_index)
+            pos += 1
+        else:
+            out.append(j)
+            pos += lens[j]
+    return tuple(out)
+
+
 def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None) -> Str:
     """Greedy encoding: repeatedly consume the longest spelling prefixing the rest.
 
@@ -197,63 +222,63 @@ def maximal_munch_encode(vocab: Vocab, sigma: Str, unk_token: str | None = None)
     unk_index = None
     if unk_token is not None:
         unk_index = vocab.delta.index(unk_token)
-    text = sigma.syms
-    end = len(text)
-    lens = vocab.spelling_lens
-    out: list[int] = []
-    pos = 0
-    while pos < end:
-        j = vocab.longest_match(text, pos)
-        if j is None:
-            if unk_index is None:
-                raise NoMatchingPrefix(pos)
-            out.append(unk_index)
-            pos += 1
-        else:
-            out.append(j)
-            pos += lens[j]
-    return Str._wrap(vocab.delta, tuple(out))
+    return Str._wrap(vocab.delta, _greedy(vocab, sigma.syms, unk_index))
+
+
+class _GreedyValues(_ValuesOnLookup):
+    """Values of the greedy encoder: each text encoded by longest match on lookup."""
+
+    __slots__ = ("_vocab", "_unk_index")
+
+    def __init__(self, vocab: Vocab, dom_space: Space, cod_space: Space, unk_index: int | None):
+        self.dom_space = dom_space
+        self.cod_space = cod_space
+        self._vocab = vocab
+        self._unk_index = unk_index
+
+    def image(self, x: Str) -> tuple[int, ...]:
+        return _greedy(self._vocab, x.syms, self._unk_index)
 
 
 def munch_encoder(
     vocab: Vocab, max_len: int, unk_token: str | None = None, out_max_len: int | None = None
 ) -> StochMap:
-    """The greedy encoder tabulated over texts of length <= max_len.
+    """The greedy encoder over texts of length <= max_len, encoding each text on lookup.
 
-    Greedy longest match is sequential: encode(w) = longest_match(w) ·
-    encode(rest), where rest is w past the matched spelling, or past one
-    character that emits unk_token when nothing matches. In canonical order
-    every rest comes before w, so each text costs one `Vocab.longest_match`
-    and one tuple concatenation. The rows equal those of `materialize` over
-    `maximal_munch_encode`, errors included: an unknown unk_token label is a
-    KeyError, and without an unk token the first text no spelling prefixes
-    raises ProcUndefined. Every rest of a text before it was encoded, so
-    that text fails at position 0. The token truncation defaults to
-    max_len; a row longer than an explicit out_max_len raises
-    OutOfTruncation at the first such text.
+    It stores the vocabulary, not its rows, and its values equal those of
+    `materialize` over `maximal_munch_encode`. The errors that tabulation
+    would raise are decided at construction. An unknown unk_token label is
+    a KeyError. Without an unk token, the first text no spelling prefixes
+    is the first character with no one-character spelling (any later
+    failing text fails at such a character, which comes before it), so
+    construction raises ProcUndefined there, at position 0. A greedy row
+    is never longer than its text, so the token truncation, max_len by
+    default, only cuts rows when an explicit out_max_len is shorter; then
+    one canonical-order pass over the lookups raises at the first failing
+    or over-long text, as tabulation would.
+
+    Over an open vocabulary every position matches, so the spellings of
+    the matched tokens concatenate to the text: the encoder is a section
+    of the homomorphism fixed by the vocabulary's spellings, and records
+    them as `section_of`.
     """
     unk_index = None if unk_token is None else vocab.delta.index(unk_token)
     char_space = Space(vocab.sigma, max_len)
     token_space = Space(vocab.delta, max_len if out_max_len is None else out_max_len)
-    spelling_lens = vocab.spelling_lens
-    encodings: dict[tuple[int, ...], tuple[int, ...]] = {}
-    rows: dict[Str, Str] = {}
-    for x in char_space.strings():
-        text = x.syms
-        if not text:
-            out: tuple[int, ...] = ()
-        elif (j := vocab.longest_match(text)) is not None:
-            out = (j,) + encodings[text[spelling_lens[j] :]]
-        elif unk_index is not None:
-            out = (unk_index,) + encodings[text[1:]]
-        else:
-            raise ProcUndefined(x, NoMatchingPrefix(0))
-        encodings[text] = out
-        y = Str._wrap(vocab.delta, out)
-        if len(out) > token_space.max_len:
+    values = _GreedyValues(vocab, char_space, token_space, unk_index)
+    is_open = vocab.is_open
+    if token_space.max_len < max_len:
+        for x in char_space.strings():
+            try:
+                y = values[x]
+            except NoMatchingPrefix as exc:
+                raise ProcUndefined(x, exc) from None
             token_space.require(y)
-        rows[x] = y
-    return StochMap._of_values(char_space, token_space, rows)
+    elif unk_index is None and max_len and not is_open:
+        c = next(c for c in range(len(vocab.sigma)) if vocab.token_by_spelling((c,)) is None)
+        raise ProcUndefined(Str._wrap(vocab.sigma, (c,)), NoMatchingPrefix(0))
+    section_of = tuple(vocab.spellings()) if is_open else None
+    return StochMap._of_values(char_space, token_space, values, section_of)
 
 
 def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
@@ -325,8 +350,9 @@ def uniform_segmenter(vocab: Vocab, sigma: Str) -> Dist:
 def munch_tokenizer(vocab: Vocab, max_len: int, unk_token: str | None = None) -> Tokenizer:
     """Greedy encoder over texts of length <= max_len with the concatenating decoder.
 
-    The encoder is `munch_encoder`'s table, built by the shortest-suffix
-    recurrence rather than by encoding each text from scratch.
+    The encoder is `munch_encoder`'s, which encodes a text on lookup, so
+    building the pair lists no space. Both maps are fixed by the same
+    spellings, so the pair is exact by construction over an open vocabulary.
     """
     if unk_token is None and not vocab.is_open:
         raise VocabNotOpen("greedy encoding over the full space needs an open vocabulary")

@@ -26,7 +26,7 @@ class EmptySample(TokcheckError):
 
 
 class ProcUndefined(TokcheckError):
-    """A procedural map failed on a domain string during tabulation."""
+    """A procedural map failed on a domain string, in tabulation or in a construction's check."""
 
     def __init__(self, at, cause=None):
         self.at = at

@@ -4,9 +4,10 @@ A map assigns a distribution over the codomain space to every string of its
 domain space, and must have a row at each. A deterministic map stores only
 its values, and its kernel builds each point mass on lookup; the monoid
 homomorphism fixed by one spelling per domain symbol (such as the
-concatenating decoder) stores only the spellings. Other kernels are stored
-sparsely (positive masses only). Composition is row-column summation; with
-exact rational masses the row sums stay exactly 1.
+concatenating decoder) stores only the spellings, and the greedy encoder
+only its vocabulary; both compute each value on lookup. Other kernels are
+stored sparsely (positive masses only). Composition is row-column
+summation; with exact rational masses the row sums stay exactly 1.
 """
 
 from __future__ import annotations
@@ -28,31 +29,20 @@ from .reports import Verdict
 from .strings import Space, Str
 
 
-class _SpellingValues(Mapping):
-    """Read-only values of the homomorphism fixed by one spelling per domain symbol.
+class _ValuesOnLookup(Mapping):
+    """Read-only values of a deterministic map, computed on each lookup and never stored.
 
-    A value is the concatenated spellings, computed on each lookup and never
-    stored. Keys are the domain strings in canonical order.
+    A subclass gives `image`, the symbols of the value at a domain string.
+    Keys are the domain strings in canonical order; a key outside the
+    domain raises KeyError.
     """
 
-    __slots__ = ("dom_space", "cod_space", "_spellings")
-
-    def __init__(self, dom_space: Space, cod_space: Space, spellings: tuple[Str, ...]):
-        self.dom_space = dom_space
-        self.cod_space = cod_space
-        self._spellings = tuple(sp.syms for sp in spellings)
+    __slots__ = ("dom_space", "cod_space")
 
     def __getitem__(self, x: Str) -> Str:
         if not isinstance(x, Str) or x not in self.dom_space:
             raise KeyError(x)
         return Str._wrap(self.cod_space.alphabet, self.image(x))
-
-    def image(self, x: Str) -> tuple[int, ...]:
-        """The concatenated spelling symbols of a domain string."""
-        syms: tuple[int, ...] = ()
-        for i in x.syms:
-            syms += self._spellings[i]
-        return syms
 
     def __contains__(self, x) -> bool:
         return isinstance(x, Str) and x in self.dom_space
@@ -62,6 +52,27 @@ class _SpellingValues(Mapping):
 
     def __len__(self) -> int:
         return self.dom_space.size()
+
+
+class _SpellingValues(_ValuesOnLookup):
+    """Values of the homomorphism fixed by one spelling per domain symbol.
+
+    A value is the concatenated spellings of its string's symbols.
+    """
+
+    __slots__ = ("_spellings",)
+
+    def __init__(self, dom_space: Space, cod_space: Space, spellings: tuple[Str, ...]):
+        self.dom_space = dom_space
+        self.cod_space = cod_space
+        self._spellings = tuple(sp.syms for sp in spellings)
+
+    def image(self, x: Str) -> tuple[int, ...]:
+        """The concatenated spelling symbols of a domain string."""
+        syms: tuple[int, ...] = ()
+        for i in x.syms:
+            syms += self._spellings[i]
+        return syms
 
 
 class _PointKernel(Mapping):
@@ -87,9 +98,12 @@ class StochMap:
     Rows are given as distributions, or as strings for point masses. `values`
     holds each row's output if all rows are point masses, else None;
     `spellings`, set by `from_spellings`, holds each domain symbol's image.
+    `section_of`, set by a constructive encoder, holds a spelling list whose
+    homomorphism maps every value back to its domain string, so that
+    decoding with those spellings undoes the map by construction.
     """
 
-    __slots__ = ("dom_space", "cod_space", "kernel", "values", "spellings")
+    __slots__ = ("dom_space", "cod_space", "kernel", "values", "spellings", "section_of")
 
     def __init__(self, dom_space: Space, cod_space: Space, rows: Mapping[Str, Str | Dist]):
         if len(rows) != dom_space.size():
@@ -121,12 +135,13 @@ class StochMap:
         else:
             self._fill(dom_space, cod_space, _PointKernel(values, cod_space), values, None)
 
-    def _fill(self, dom_space, cod_space, kernel, values, spellings) -> None:
+    def _fill(self, dom_space, cod_space, kernel, values, spellings, section_of=None) -> None:
         object.__setattr__(self, "dom_space", dom_space)
         object.__setattr__(self, "cod_space", cod_space)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "spellings", spellings)
+        object.__setattr__(self, "section_of", section_of)
 
     @classmethod
     def _of_rows(cls, dom_space: Space, cod_space: Space, rows: dict[Str, Str | Dist]) -> StochMap:
@@ -136,10 +151,16 @@ class StochMap:
         return f
 
     @classmethod
-    def _of_values(cls, dom_space: Space, cod_space: Space, values: dict[Str, Str]) -> StochMap:
-        # fast path for tabulators: keys are the domain in canonical order, values lie in cod_space
+    def _of_values(
+        cls,
+        dom_space: Space,
+        cod_space: Space,
+        values: Mapping[Str, Str],
+        section_of: tuple[Str, ...] | None = None,
+    ) -> StochMap:
+        # fast path for constructions: keys are the domain in canonical order, values lie in cod_space
         f = object.__new__(cls)
-        f._fill(dom_space, cod_space, _PointKernel(values, cod_space), values, None)
+        f._fill(dom_space, cod_space, _PointKernel(values, cod_space), values, None, section_of)
         return f
 
     @classmethod
@@ -315,8 +336,7 @@ def materialize(
     wrapped as ProcUndefined at the offending input. Rows are checked here,
     once each, as they are made, and the map is built from them without the
     constructor's checks. The greedy encoder is not tabulated here:
-    `encoders.munch_encoder` builds its table by the shortest-suffix
-    recurrence.
+    `encoders.munch_encoder` encodes each text on lookup.
     """
     rows: dict[Str, Str | Dist] = {}
     for x in dom_space.strings():

@@ -55,13 +55,26 @@ class Tokenizer:
         return self.encoder.cod_space
 
 
+def _exact_by_construction(t: Tokenizer) -> bool:
+    """Whether the encoder is a section of the decoder's homomorphism.
+
+    The encoder records the spelling list whose homomorphism sends each of
+    its values back to the text, and a decoder built from the same
+    spellings is that homomorphism on every value.
+    """
+    section_of = t.encoder.section_of
+    return section_of is not None and section_of == t.decoder.spellings
+
+
 def is_exact(t: Tokenizer) -> Verdict:
     """True iff decode after encode is the identity on every domain string.
 
-    The witness is the first failing string in canonical order. When the
-    encoder stores values and the decoder is built from spellings, one pass
-    over the encoder's values compares each value's concatenated spellings
-    with the symbols of its text, building no row. The Tokenizer
+    The witness is the first failing string in canonical order. An encoder
+    that is a section of the decoder's homomorphism passes without reading
+    a row. Otherwise, when the encoder stores values and the decoder is
+    built from spellings, one pass over the encoder's values compares each
+    value's concatenated spellings with the symbols of its text, building
+    no row. The Tokenizer
     constructor guarantees that every value lies in the decoder's domain
     and every text in its codomain, so nothing else is checked. A caller's
     map keeps its own row order, so the witness is the canonical minimum of
@@ -69,6 +82,8 @@ def is_exact(t: Tokenizer) -> Verdict:
     decodes to sigma alone is the identity without any arithmetic, and
     every other row is pushed through the decoder in full.
     """
+    if _exact_by_construction(t):
+        return Verdict.passed()
     values, decoder = t.encoder.values, t.decoder
     if values is not None and decoder.spellings is not None:
         image = decoder.values.image
@@ -286,11 +301,14 @@ def preimage_bound(n: int, vocab_size: int) -> int:
     """Upper bound on the number of preimages of a length-n text: sum of |vocab|^i, i=1..n.
 
     The empty text is not covered by the bound (its only preimage under an
-    eligible decoder is the empty token sequence).
+    eligible decoder is the empty token sequence). The geometric sum is
+    taken in closed form.
     """
     if n < 0:
         raise ValueError("length must be >= 0")
-    return sum(vocab_size**i for i in range(1, n + 1))
+    if vocab_size == 1:
+        return n
+    return vocab_size * (vocab_size**n - 1) // (vocab_size - 1)
 
 
 def marginalize(t: Tokenizer, q: Dist, sigma: Str) -> Fraction:
@@ -325,14 +343,26 @@ def spurious_ambiguity_mass(t: Tokenizer, q: Dist) -> Fraction:
     character space. A text past the character truncation may well encode
     to that atom, but the truncated encoder does not say, so such an atom is
     refused with `OutOfTruncation`, as `preimages` refuses such a text; the
-    first one in canonical order is named.
+    first one in canonical order is named. When the encoder is a section of
+    the decoder's homomorphism, an atom is in the image exactly when it
+    decodes into the character space and its text encodes back to it, so
+    only the rows of q's support are read.
     """
     if not is_deterministic(t.encoder):
         raise EncoderNotDeterministic("spurious ambiguity is defined for deterministic encoders")
     if q.space != t.token_space:
         raise SpaceMismatch("distribution must live over the token space")
-    image = set(t.encoder.values.values())
-    outside = [delta for delta in q.support() if delta not in image]
+    values = t.encoder.values
+    if _exact_by_construction(t):
+        decoded = t.decoder.values
+        outside = [
+            delta
+            for delta in q.support()
+            if (text := decoded[delta]) not in t.char_space or values[text] != delta
+        ]
+    else:
+        image = set(values.values())
+        outside = [delta for delta in q.support() if delta not in image]
     for delta in outside:
         for text in t.decoder.kernel[delta].mass:
             if text not in t.char_space:

@@ -120,6 +120,14 @@ def oracle_greedy_encode(vocab, sigma, unk_token=None):
     return tk.Str(vocab.delta, out)
 
 
+def oracle_munch_encoder(vocab, max_len, unk_token=None, out_max_len=None):
+    """The greedy encoder tabulated eagerly: `maximal_munch_encode` on every text of the space."""
+    char_space = tk.Space(vocab.sigma, max_len)
+    token_space = tk.Space(vocab.delta, max_len if out_max_len is None else out_max_len)
+    encode = lambda s: tk.maximal_munch_encode(vocab, s, unk_token)
+    return tk.materialize(encode, char_space, token_space)
+
+
 def oracle_longest_match(vocab, syms, pos=0):
     """Longest match by probing every length from the longest spelling down to 1."""
     for n in range(min(vocab.max_spelling_len, len(syms) - pos), 0, -1):

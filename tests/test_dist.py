@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tokcheck as tk
 from tokcheck.errors import EmptySample, OutOfTruncation, SpaceMismatch
@@ -273,3 +275,14 @@ def test_repr_lists_the_support_in_canonical_order():
     a, b = tk.parse_str(AB, "a"), tk.parse_str(AB, "ab")
     d = tk.Dist(SP, {b: Fraction(1, 2), a: Fraction(1, 3), SP.empty(): Fraction(1, 6)})
     assert repr(d) == "Dist({ε: 1/6, a: 1/3, ab: 1/2})"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_l1_distance_sums_over_the_union_of_supports(seed):
+    rng = random.Random(seed)
+    p, q = random_dist(SP, rng, 8), random_dist(SP, rng, 8)
+    union = p.mass.keys() | q.mass.keys()
+    want = sum((abs(p.mass_of(x) - q.mass_of(x)) for x in union), Fraction(0))
+    assert tk.l1_distance(p, q) == want
+    assert tk.l1_distance(q, p) == want

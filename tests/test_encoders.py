@@ -305,6 +305,13 @@ def test_encoders_reject_input_over_another_alphabet(vocab, encode):
         encode(vocab, foreign)
 
 
+def test_decode_tokens_rejects_a_character_string(vocab):
+    decoded = tk.parse_str(vocab.delta, "t|he")
+    assert tk.decode_tokens(vocab, decoded) == tk.parse_str(vocab.sigma, "the")
+    with pytest.raises(ValueError, match="^input is not over the vocabulary's token alphabet$"):
+        tk.decode_tokens(vocab, tk.parse_str(vocab.sigma, "the"))
+
+
 def test_bpe_spec_load_resolves_the_merges_at_most_twice(monkeypatch):
     """`from_texts` validates once and tabulation resolves once, not once per text."""
     calls = 0

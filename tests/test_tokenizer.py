@@ -646,3 +646,14 @@ def test_inexact_probe_report_that_is_not_ok_does_not_claim_inconsistency():
     shown = tk.ProbeReport(False, 0, True, x)
     assert shown.describe() == "not exact; inconsistent with point mass on a"
     assert tk.ProbeReport(False, 0, False).describe() == "not exact; no counterexample produced"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(-3, 40))
+def test_preimage_bound_closed_form_is_the_sum_of_powers(n, vocab_size):
+    assert tk.preimage_bound(n, vocab_size) == sum(vocab_size**i for i in range(1, n + 1))
+
+
+def test_preimage_bound_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="^length must be >= 0$"):
+        tk.preimage_bound(-1, 5)
