@@ -25,13 +25,13 @@ from .encoders import (
     MergeList,
     Vocab,
     _bpe_encoder,
+    _uniform_encoder,
     concat_decoder,
     maximal_munch_encode,
     munch_encoder,
-    uniform_segmenter,
 )
 from .errors import ParseError, TokcheckError
-from .stochmap import StochMap, materialize, pushforward
+from .stochmap import StochMap, pushforward
 from .strings import CHARACTERS, TOKENS, Alphabet, Space, parse_str
 from .tokenizer import (
     Tokenizer,
@@ -159,8 +159,7 @@ def _build_spec(doc: dict, max_len: int) -> SpecBundle:
             merges = MergeList.from_texts(vocab, [tuple(p) for p in enc_doc["merges"]])
             encoder = _bpe_encoder(vocab, merges, char_space, token_space)
         else:
-            proc = lambda s: uniform_segmenter(vocab, s)
-            encoder = materialize(proc, char_space, token_space)
+            encoder = _uniform_encoder(vocab, char_space, token_space)
     else:
         raise ParseError(f"unknown encoder type {enc_type!r}")
 

@@ -381,9 +381,12 @@ def bpe_tokenizer(vocab: Vocab, merges: MergeList, max_len: int) -> Tokenizer:
     return Tokenizer(encoder, concat_decoder(vocab, max_len))
 
 
+def _uniform_encoder(vocab: Vocab, char_space: Space, token_space: Space) -> StochMap:
+    """`uniform_segmenter` tabulated over char_space."""
+    return materialize(lambda s: uniform_segmenter(vocab, s), char_space, token_space)
+
+
 def uniform_tokenizer(vocab: Vocab, max_len: int) -> Tokenizer:
     """Stochastic encoder spreading mass uniformly over all segmentations."""
-    char_space = Space(vocab.sigma, max_len)
-    token_space = Space(vocab.delta, max_len)
-    encoder = materialize(lambda s: uniform_segmenter(vocab, s), char_space, token_space)
+    encoder = _uniform_encoder(vocab, Space(vocab.sigma, max_len), Space(vocab.delta, max_len))
     return Tokenizer(encoder, concat_decoder(vocab, max_len))

@@ -1,9 +1,10 @@
 """Finite-domain stochastic maps: kernels, composition, pushforward, predicates.
 
 A map assigns a distribution over the codomain space to every string of its
-domain space, and must have a row at each. A deterministic map stores only
-its values, and its kernel builds each point mass on lookup; the monoid
-homomorphism fixed by one spelling per domain symbol (such as the
+domain space, and its kernel and values iterate in canonical domain order.
+A deterministic map stores only its values, whose `image(x)` gives the
+symbols of the value at x, and its kernel builds each point mass on lookup;
+the monoid homomorphism fixed by one spelling per domain symbol (such as the
 concatenating decoder) stores only the spellings, and the greedy encoder
 only its vocabulary; both compute each value on lookup. Other kernels are
 stored sparsely (positive masses only). Composition is row-column
@@ -75,6 +76,15 @@ class _SpellingValues(_ValuesOnLookup):
         return syms
 
 
+class _StoredValues(dict):
+    """Stored values of a deterministic map, keyed in canonical domain order."""
+
+    __slots__ = ()
+
+    def image(self, x: Str) -> tuple[int, ...]:
+        return self[x].syms
+
+
 class _PointKernel(Mapping):
     """Read-only rows of a deterministic map: the point mass on each value, built on lookup."""
 
@@ -95,7 +105,8 @@ class _PointKernel(Mapping):
 class StochMap:
     """A total map from a truncated domain space to distributions over a codomain space.
 
-    Rows are given as distributions, or as strings for point masses. `values`
+    Rows are given as distributions or as strings for point masses, in any
+    order; `kernel` and `values` iterate in canonical domain order. `values`
     holds each row's output if all rows are point masses, else None;
     `spellings`, set by `from_spellings`, holds each domain symbol's image.
     `section_of`, set by a constructive encoder, holds a spelling list whose
@@ -116,11 +127,11 @@ class StochMap:
                 cod_space.require(row)
             elif not isinstance(row, Dist) or row.space != cod_space:
                 raise SpaceMismatch(f"row at {x!r} is not a distribution over the codomain space")
-        self._build(dom_space, cod_space, rows)
+        self._build(dom_space, cod_space, {x: rows[x] for x in dom_space.strings()})
 
     def _build(self, dom_space: Space, cod_space: Space, rows: Mapping[Str, Str | Dist]) -> None:
-        # rows already checked: one per domain string, each a string in or a Dist over cod_space
-        values: dict[Str, Str] | None = {}
+        # rows checked: one per domain string, in canonical order, each in or over cod_space
+        values = _StoredValues()
         for x, row in rows.items():
             if isinstance(row, Str):
                 values[x] = row
@@ -145,7 +156,7 @@ class StochMap:
 
     @classmethod
     def _of_rows(cls, dom_space: Space, cod_space: Space, rows: dict[Str, Str | Dist]) -> StochMap:
-        # fast path for rows checked as they were made, as `materialize` does
+        # fast path for rows checked as they were made in canonical order, as `materialize` does
         f = object.__new__(cls)
         f._build(dom_space, cod_space, rows)
         return f
@@ -158,7 +169,7 @@ class StochMap:
         values: Mapping[Str, Str],
         section_of: tuple[Str, ...] | None = None,
     ) -> StochMap:
-        # fast path for constructions: keys are the domain in canonical order, values lie in cod_space
+        # trusted: values keyed by the domain in canonical order, lie in cod_space and give `image`
         f = object.__new__(cls)
         f._fill(dom_space, cod_space, _PointKernel(values, cod_space), values, None, section_of)
         return f
@@ -202,8 +213,7 @@ class StochMap:
 
     def rows(self) -> Iterable[tuple[Str, Dist]]:
         """Kernel rows in canonical domain order."""
-        for x in self.dom_space.strings():
-            yield x, self.kernel[x]
+        return self.kernel.items()
 
     def row_is_point(self, x: Str, y: Str) -> bool:
         """Whether the row at x is the point mass on y; reads the row at x."""
@@ -272,12 +282,12 @@ def is_deterministic(f: StochMap) -> Verdict:
     """True iff every row is a point mass; witness is the first stochastic row.
 
     A map stores values exactly when every row is a point mass, so only a
-    failing check scans the rows, in kernel order, and picks the canonical
-    minimum among the stochastic ones.
+    failing check scans the rows, in canonical order, up to the first
+    stochastic one.
     """
     if f.values is not None:
         return Verdict.passed()
-    x = min((x for x, row in f.kernel.items() if len(row.mass) != 1), key=Str.sort_key)
+    x = next(x for x, row in f.kernel.items() if len(row.mass) != 1)
     return Verdict.failed(x, f"row has support size {len(f.kernel[x].mass)}")
 
 

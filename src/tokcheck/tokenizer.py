@@ -69,32 +69,26 @@ def _exact_by_construction(t: Tokenizer) -> bool:
 def is_exact(t: Tokenizer) -> Verdict:
     """True iff decode after encode is the identity on every domain string.
 
-    The witness is the first failing string in canonical order. An encoder
-    that is a section of the decoder's homomorphism passes without reading
-    a row. Otherwise, when the encoder stores values and the decoder is
-    built from spellings, one pass over the encoder's values compares each
-    value's concatenated spellings with the symbols of its text, building
-    no row. The Tokenizer
-    constructor guarantees that every value lies in the decoder's domain
-    and every text in its codomain, so nothing else is checked. A caller's
-    map keeps its own row order, so the witness is the canonical minimum of
-    the failing texts. Otherwise a deterministic encoder's row whose value
-    decodes to sigma alone is the identity without any arithmetic, and
-    every other row is pushed through the decoder in full.
+    The encoder's rows run in canonical order, so the walk stops at the
+    first failing string, the witness. An encoder that is a section of the
+    decoder's homomorphism passes without reading a row. When both maps are
+    deterministic, the symbols each encoder value decodes to are compared
+    with those of its text, building no row; the Tokenizer constructor
+    guarantees that every value lies in the decoder's domain and every text
+    in its codomain. Otherwise each encoder row is pushed through the
+    decoder in full.
     """
     if _exact_by_construction(t):
         return Verdict.passed()
-    values, decoder = t.encoder.values, t.decoder
-    if values is not None and decoder.spellings is not None:
-        image = decoder.values.image
-        failed = [sigma for sigma, delta in values.items() if image(delta) != sigma.syms]
-        return Verdict.failed(min(failed, key=Str.sort_key)) if failed else Verdict.passed()
-    for sigma in t.char_space.strings():
-        if values is not None and decoder.row_is_point(values[sigma], sigma):
-            continue
-        if pushforward(decoder, t.encoder.kernel[sigma]).mass != {sigma: Fraction(1)}:
-            return Verdict.failed(sigma)
-    return Verdict.passed()
+    values, decoded = t.encoder.values, t.decoder.values
+    if values is not None and decoded is not None:
+        image = decoded.image
+        failing = (sigma for sigma, delta in values.items() if image(delta) != sigma.syms)
+    else:
+        rows = t.encoder.rows()
+        failing = (s for s, row in rows if pushforward(t.decoder, row).mass != {s: Fraction(1)})
+    witness = next(failing, None)
+    return Verdict.passed() if witness is None else Verdict.failed(witness)
 
 
 def is_consistent_wrt(t: Tokenizer, p: Dist) -> Verdict:
@@ -196,8 +190,7 @@ def _prefix_monotone_verdict(decoder: StochMap) -> Verdict:
     if values is None:
         return Verdict.not_applicable("decoder is stochastic")
     alpha = decoder.dom_space.alphabet
-    for delta in decoder.dom_space.strings():
-        out = values[delta]
+    for delta, out in values.items():
         for i in range(len(delta)):
             prefix = Str(alpha, delta.syms[:i])
             if not is_prefix(values[prefix], out):
@@ -316,24 +309,18 @@ def marginalize(t: Tokenizer, q: Dist, sigma: Str) -> Fraction:
 
     Under an eligible decoder those sequences are sigma's preimages, and
     every one of them in q's support lies in the token space, so the mass is
-    the sum of q over the atoms of its support whose decoder row is the
-    point mass on sigma. For the empty text that is q(ε) alone, since a
-    trivial kernel decodes only ε to ε. On a decoder built from spellings
-    each atom's concatenated spellings are compared with sigma's symbols:
-    q lives over the token space, which is the decoder's domain, and sigma
-    lies in the character space, which the decoder's codomain covers, so
-    neither needs checking per atom.
+    the sum of q over the atoms of its support that decode to sigma. For the
+    empty text that is q(ε) alone, since a trivial kernel decodes only ε to
+    ε. An eligible decoder is deterministic, so the symbols each atom
+    decodes to are compared with sigma's: q lives over the token space,
+    which is the decoder's domain, and sigma lies in the character space,
+    which the decoder's codomain covers, so neither needs checking per atom.
     """
     if q.space != t.token_space:
         raise SpaceMismatch("distribution must live over the token space")
     _require_preimage_query(t, sigma)
-    decoder = t.decoder
-    if decoder.spellings is not None:
-        image, syms = decoder.values.image, sigma.syms
-        return sum((m for delta, m in q.mass.items() if image(delta) == syms), Fraction(0))
-    return sum(
-        (m for delta, m in q.mass.items() if decoder.row_is_point(delta, sigma)), Fraction(0)
-    )
+    image, syms = t.decoder.values.image, sigma.syms
+    return sum((m for delta, m in q.mass.items() if image(delta) == syms), Fraction(0))
 
 
 def spurious_ambiguity_mass(t: Tokenizer, q: Dist) -> Fraction:

@@ -203,3 +203,19 @@ def test_point_queries_at_max_len_14_print_what_max_len_7_prints(capsys):
             tracemalloc.stop()
         assert (code, capsys.readouterr()) == (0, want)
         assert peak < 4 * 2**20, argv
+
+
+def test_failing_check_at_max_len_14_stops_at_its_witness(capsys):
+    """Greedy with an unk token over a non-open vocab: `check` reads rows only up to `x`."""
+    argv = ["check", str(DATA.parent / "golden" / "spec_unk.json"), "--max-len"]
+    assert cli.main([*argv, "7"]) == 1
+    want = capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "14"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr()) == (1, want)
+    assert "witness x" in want.out
+    assert peak < 4 * 2**20

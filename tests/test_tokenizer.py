@@ -597,7 +597,8 @@ def test_is_exact_witness_is_canonical_when_encoder_rows_come_reversed(vocab):
     values[tk.parse_str(vocab.sigma, "he")] = tk.parse_str(delta, "t|t")
     rows = dict(reversed(values.items()))
     encoder = tk.StochMap(munch.char_space, munch.token_space, rows)
-    assert list(encoder.values) == list(reversed(list(munch.char_space.strings())))
+    texts = list(munch.char_space.strings())
+    assert list(rows) == texts[::-1] and list(encoder.values) == texts
     twin_decoder = tabulated_twin(vocab.spellings(), munch.token_space, munch.decoder.cod_space)
     for decoder in (munch.decoder, twin_decoder):
         t = tk.Tokenizer(encoder, decoder)
@@ -609,12 +610,14 @@ def test_is_exact_witness_is_canonical_when_encoder_rows_come_reversed(vocab):
 
 
 def test_spelling_decoder_verdicts_read_no_rows(vocab, monkeypatch):
-    """On a spelling decoder, `is_exact` lists no texts and neither it nor `marginalize` reads a row."""
+    """A spelling decoder: `is_exact` lists no texts. It and its table twin: no row is read."""
     exact = tk.munch_tokenizer(vocab, 4)
     values = dict(exact.encoder.values)
     values[tk.parse_str(vocab.sigma, "t")] = tk.parse_str(vocab.delta, "h")
     encoder = tk.StochMap(exact.char_space, exact.token_space, values)
     inexact = tk.Tokenizer(encoder, exact.decoder)
+    twin = tabulated_twin(vocab.spellings(), exact.token_space, exact.decoder.cod_space)
+    tables = [tk.Tokenizer(t.encoder, twin) for t in (exact, inexact)]
     wants = [oracle_is_exact(t) for t in (exact, inexact)]
     q = dist_from(exact.token_space, {"t|h|e": "1/2", "th|e": "1/4", "h": "1/4"})
     texts = [tk.parse_str(vocab.sigma, s) for s in ("the", "h", "t", "")]
@@ -636,6 +639,8 @@ def test_spelling_decoder_verdicts_read_no_rows(vocab, monkeypatch):
     assert [tk.marginalize(t, q, s) for t in (exact, inexact) for s in texts] == marginals * 2
     assert marginals == [Fraction(3, 4), Fraction(1, 4), Fraction(0), Fraction(0)]
     assert enumerated == []
+    assert [tk.is_exact(t) for t in tables] == wants
+    assert [tk.marginalize(t, q, s) for t in tables for s in texts] == marginals * 2
 
 
 def test_inexact_probe_report_that_is_not_ok_does_not_claim_inconsistency():

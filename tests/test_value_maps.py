@@ -44,6 +44,15 @@ def value_tables(draw):
     return dom, cod, values, None
 
 
+def assert_canonical(f):
+    """Kernel, values and rows iterate in canonical domain order; values give their symbols."""
+    order = list(f.dom_space.strings())
+    assert list(f.kernel) == [x for x, _ in f.rows()] == order
+    if f.values is not None:
+        assert list(f.values) == order
+        assert all(f.values.image(x) == y.syms for x, y in f.values.items())
+
+
 def twins(dom, cod, values, spellings):
     """One map built from string rows, from one-entry distributions and from any spellings."""
     maps = [
@@ -71,11 +80,12 @@ def test_value_map_twins_agree(table):
         tk.Str(tk.Alphabet(("Z",), tk.TOKENS), ()),
     ]
     for f in maps:
+        assert_canonical(f)
         assert f.values is not None
         assert tk.is_deterministic(f) == tk.Verdict.passed()
         assert dict(f.kernel) == {x: tk.point_mass(y, cod) for x, y in values.items()}
         assert len(f.kernel) == len(first.kernel) == dom.size()
-        assert list(f.kernel) == list(first.kernel) == list(values)
+        assert list(f.kernel) == list(first.kernel) == list(dom.strings())
         assert cli.table_rows(f) == cli.table_rows(first)
         for x, y in values.items():
             assert f.value_at(x) == y
@@ -97,9 +107,11 @@ def test_value_map_twins_agree(table):
 @given(value_tables())
 def test_trusted_value_map_equals_the_checked_one(table):
     dom, cod, values, _ = table
-    ordered = {x: values[x] for x in dom.strings()}
+    ordered = tk.stochmap._StoredValues((x, values[x]) for x in dom.strings())
     trusted = tk.StochMap._of_values(dom, cod, ordered)
     checked = tk.StochMap(dom, cod, dict(ordered))
+    assert_canonical(trusted)
+    assert_canonical(checked)
     assert list(trusted.values.items()) == list(checked.values.items())
     assert list(trusted.kernel.items()) == list(checked.kernel.items())
     assert len(trusted.kernel) == len(checked.kernel) == dom.size()
@@ -110,9 +122,12 @@ def test_trusted_value_map_equals_the_checked_one(table):
 
 
 def test_munch_encoder_is_the_checked_map_of_its_values(vocab):
+    assert_canonical(tk.concat_decoder(vocab, 4))
     for unk in (None, "he"):
         enc = tk.munch_encoder(vocab, 4, unk)
         checked = tk.StochMap(enc.dom_space, enc.cod_space, dict(enc.values))
+        assert_canonical(enc)
+        assert_canonical(checked)
         assert list(enc.values.items()) == list(checked.values.items())
         assert list(enc.kernel) == list(checked.kernel) == list(enc.dom_space.strings())
         assert cli.table_rows(enc) == cli.table_rows(checked)
@@ -137,7 +152,8 @@ def test_one_stochastic_row_keeps_a_table(table, data):
             rows[x] = y if rng.random() < 0.5 else tk.point_mass(y, cod)
     f = tk.StochMap(dom, cod, rows)
     assert f.values is None
-    assert isinstance(f.kernel, dict) and list(f.kernel) == list(rows)
+    assert isinstance(f.kernel, dict) and list(f.kernel) == list(dom.strings())
+    assert_canonical(f)
     for x, row in rows.items():
         assert isinstance(f.kernel[x], tk.Dist)
         if isinstance(row, tk.Dist):
@@ -160,6 +176,8 @@ def test_materialize_mixing_strings_and_point_masses():
         return reverse(x) if len(x) % 2 else tk.point_mass(reverse(x), tk.Space(cod.alphabet, 4))
 
     f, g = tk.materialize(mixed, dom, cod), tk.materialize(reverse, dom, cod)
+    assert_canonical(f)
+    assert_canonical(g)
     assert f.values is not None and f.values == g.values and f == g
     assert all(type(y) is tk.Str for y in f.values.values())
 
@@ -167,6 +185,7 @@ def test_materialize_mixing_strings_and_point_masses():
     aa = tk.parse_str(dom.alphabet, "aa")
     h = tk.materialize(lambda x: half if x == aa else mixed(x), dom, cod)
     assert h.values is None and h.kernel[aa] is half
+    assert_canonical(h)
     assert tk.is_deterministic(h) == tk.Verdict.failed(aa, "row has support size 2")
     assert all(h.kernel[x] == g.kernel[x] for x in dom.strings() if x != aa)
 
