@@ -39,6 +39,9 @@ MISSING = D + "nope.json"
 UNK, NOT_OPEN = G + "spec_unk.json", G + "spec_not_open.json"
 MUNCH_TABLE, BPE_TABLE = G + "spec_munch_table_decoder.json", G + "spec_bpe_table_decoder.json"
 NO_SPELLINGS_CONSTRUCTIVE = G + "spec_constructive_no_spellings.json"
+UNIFORM_NOT_OPEN = G + "spec_uniform_not_open.json"
+UNIFORM_TABLE = G + "spec_uniform_table_decoder.json"
+AB_PSTAR = G + "ab_pstar.json"
 BAD_SPECS = [D + "malformed.json", MISSING] + [
     G + name
     for name in (
@@ -227,6 +230,14 @@ def commands() -> list[list[str]]:
         for text in spec_texts:
             cmds.append(["preimages", spec, *_len(n), "--text", text])
             cmds.append(["transduce", spec, *_len(n), "--text", text, "--verify-max-len", "2"])
+
+    # the uniform encoder over a vocab that is not open and over a table decoder
+    for spec, p_star, q in ((UNIFORM_NOT_OPEN, PSTAR, QDIST), (UNIFORM_TABLE, AB_PSTAR, AB_PSTAR)):
+        for n in (0, 1, 2):
+            cmds.append(["check", spec, *_len(n)])
+            cmds.append(["check", spec, *_len(n), "--json"])
+            cmds.append(["simulate", spec, p_star, *_len(n)])
+            cmds.append(["marginalize", spec, q, *_len(n), "--all"])
     return cmds
 
 
