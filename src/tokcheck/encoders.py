@@ -9,9 +9,10 @@ requested, which deliberately sacrifices round-trip exactness.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .dist import Dist
 from .errors import (
@@ -19,10 +20,11 @@ from .errors import (
     NoMatchingPrefix,
     NoSegmentation,
     ProcUndefined,
+    TokcheckError,
     TruncationOverflow,
     VocabNotOpen,
 )
-from .stochmap import StochMap, _ValuesOnLookup, materialize
+from .stochmap import StochMap, _ValuesOnLookup
 from .strings import TOKENS, Alphabet, Space, Str, factorizations, parse_str
 from .tokenizer import Tokenizer
 
@@ -294,7 +296,7 @@ def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
     MissingBaseCharacter is raised first, then `validate`'s error.
     """
     seq = _base_tokens(vocab, sigma)
-    return _merged(vocab, merges.validate(vocab), seq)
+    return Str._wrap(vocab.delta, _merged(merges.validate(vocab), seq))
 
 
 def _base_tokens(vocab: Vocab, sigma: Str) -> list[int]:
@@ -312,8 +314,8 @@ def _base_tokens(vocab: Vocab, sigma: Str) -> list[int]:
     return seq
 
 
-def _merged(vocab: Vocab, triples: list[tuple[int, int, int]], seq: list[int]) -> Str:
-    """The token sequence after one pass of each resolved merge, in list order."""
+def _merged(triples: Sequence[tuple[int, int, int]], seq: list[int]) -> tuple[int, ...]:
+    """The token symbols after one pass of each resolved merge, in list order."""
     for left_j, right_j, merged in triples:
         out: list[int] = []
         i = 0
@@ -325,7 +327,31 @@ def _merged(vocab: Vocab, triples: list[tuple[int, int, int]], seq: list[int]) -
                 out.append(seq[i])
                 i += 1
         seq = out
-    return Str._wrap(vocab.delta, tuple(seq))
+    return tuple(seq)
+
+
+class _MergedValues(_ValuesOnLookup):
+    """Values of merge-based encoding: each text's base tokens merged on lookup.
+
+    With no merges, a value is the text's one-character tokens.
+    """
+
+    __slots__ = ("_vocab", "_triples")
+
+    def __init__(
+        self,
+        vocab: Vocab,
+        dom_space: Space,
+        cod_space: Space,
+        triples: Sequence[tuple[int, int, int]],
+    ):
+        self.dom_space = dom_space
+        self.cod_space = cod_space
+        self._vocab = vocab
+        self._triples = triples
+
+    def image(self, x: Str) -> tuple[int, ...]:
+        return _merged(self._triples, _base_tokens(self._vocab, x))
 
 
 def segmentations(vocab: Vocab, sigma: Str) -> list[Str]:
@@ -347,6 +373,30 @@ def uniform_segmenter(vocab: Vocab, sigma: Str) -> Dist:
     return Dist(Space(vocab.delta, len(sigma)), {s: share for s in segs})
 
 
+class _SegmentationKernel(Mapping):
+    """Rows of the uniform encoder: each text's `uniform_segmenter`, built on lookup.
+
+    Keys are the domain strings in canonical order; a key outside the
+    domain raises KeyError.
+    """
+
+    def __init__(self, vocab: Vocab, dom_space: Space, cod_space: Space):
+        self._vocab = vocab
+        self._dom_space = dom_space
+        self._cod_space = cod_space
+
+    def __getitem__(self, x: Str) -> Dist:
+        if not isinstance(x, Str) or x not in self._dom_space:
+            raise KeyError(x)
+        return Dist._of_masses(self._cod_space, uniform_segmenter(self._vocab, x).mass)
+
+    def __iter__(self) -> Iterator[Str]:
+        return self._dom_space.strings()
+
+    def __len__(self) -> int:
+        return self._dom_space.size()
+
+
 def munch_tokenizer(vocab: Vocab, max_len: int, unk_token: str | None = None) -> Tokenizer:
     """Greedy encoder over texts of length <= max_len with the concatenating decoder.
 
@@ -359,34 +409,104 @@ def munch_tokenizer(vocab: Vocab, max_len: int, unk_token: str | None = None) ->
     return Tokenizer(munch_encoder(vocab, max_len, unk_token), concat_decoder(vocab, max_len))
 
 
+def _raise_where_tabulation_fails(
+    rows: Mapping[Str, Dist], char_space: Space, token_space: Space, is_open: bool
+) -> None:
+    """Raise what tabulating a constructive encoder's rows would, at the same text.
+
+    Tabulation walks the texts in canonical order, wraps a failing lookup
+    as ProcUndefined at its text and refuses the first atom past the token
+    truncation. Each encoder here is defined at every text over an open
+    vocabulary, and over any other first fails at the first character with
+    no one-character spelling, so the rows of the texts of length at most 1
+    decide it. A token truncation below the text truncation may cut any
+    longer row, so then every row is read.
+    """
+    if token_space.max_len < char_space.max_len:
+        texts = char_space.strings()
+    elif char_space.max_len and not is_open:
+        texts = Space(char_space.alphabet, 1).strings()
+    else:
+        return
+    for x in texts:
+        try:
+            row = rows[x]
+        except TokcheckError as exc:
+            raise ProcUndefined(x, exc) from None
+        for y in row.mass:
+            token_space.require(y)
+
+
 def _bpe_encoder(
     vocab: Vocab, merges: MergeList, char_space: Space, token_space: Space
 ) -> StochMap:
-    """`bpe_encode` tabulated over char_space, with the merges resolved once for every text.
+    """`bpe_encode` over char_space, merging each text on lookup with the merges resolved once.
 
-    Tabulation starts at ε, which has no base character to miss, so a bad
-    merge raises `validate`'s ValueError before any text, just as
-    tabulating `bpe_encode` text by text would; a missing base character
-    is then wrapped as ProcUndefined at the same first text.
+    It stores the resolved merges, not its rows, and its values equal those
+    of `materialize` over `bpe_encode`. Tabulation starts at ε, which has
+    no base character to miss, so a bad merge raises `validate`'s
+    ValueError first; `_raise_where_tabulation_fails` then raises a missing
+    base character, wrapped as ProcUndefined, or an over-long row at the
+    same first text as tabulation.
+
+    Over an open vocabulary each merge replaces two tokens with one spelling
+    their concatenation, so the spellings of a value concatenate to its
+    text: the encoder is a section of the homomorphism fixed by the
+    vocabulary's spellings, and records them as `section_of`.
     """
-    triples = merges.validate(vocab)
-    return materialize(
-        lambda s: _merged(vocab, triples, _base_tokens(vocab, s)), char_space, token_space
-    )
+    values = _MergedValues(vocab, char_space, token_space, merges.validate(vocab))
+    is_open = vocab.is_open
+    section_of = tuple(vocab.spellings()) if is_open else None
+    f = StochMap._of_values(char_space, token_space, values, section_of)
+    _raise_where_tabulation_fails(f.kernel, char_space, token_space, is_open)
+    return f
 
 
 def bpe_tokenizer(vocab: Vocab, merges: MergeList, max_len: int) -> Tokenizer:
-    """Merge-based encoder over texts of length <= max_len with the concatenating decoder."""
+    """Merge-based encoder over texts of length <= max_len with the concatenating decoder.
+
+    The encoder is `_bpe_encoder`'s, which merges a text on lookup, so
+    building the pair lists no space, and over an open vocabulary the pair
+    is exact by construction.
+    """
     encoder = _bpe_encoder(vocab, merges, Space(vocab.sigma, max_len), Space(vocab.delta, max_len))
     return Tokenizer(encoder, concat_decoder(vocab, max_len))
 
 
 def _uniform_encoder(vocab: Vocab, char_space: Space, token_space: Space) -> StochMap:
-    """`uniform_segmenter` tabulated over char_space."""
-    return materialize(lambda s: uniform_segmenter(vocab, s), char_space, token_space)
+    """`uniform_segmenter` over char_space, each row built on lookup.
+
+    It stores the vocabulary, not its rows, and its rows equal those of
+    `materialize` over `uniform_segmenter`. A text has a segmentation only
+    if each of its characters does, so the first text with none is the
+    first character with no one-character spelling, and
+    `_raise_where_tabulation_fails` raises NoSegmentation there, wrapped as
+    ProcUndefined, or an over-long row at the same first text as tabulation.
+
+    Over an open vocabulary a text of length n or less has more than one
+    segmentation exactly when some spelling of length 2 to n exists. The
+    map stores values exactly when every row is a point mass, so without
+    such a spelling it stores the one-character tokens of each text as
+    values, and with one it builds every row on lookup. Every segmentation
+    spells its text, so the encoder records the vocabulary's spellings as
+    `section_of`.
+    """
+    rows = _SegmentationKernel(vocab, char_space, token_space)
+    is_open = vocab.is_open
+    _raise_where_tabulation_fails(rows, char_space, token_space, is_open)
+    section_of = tuple(vocab.spellings()) if is_open else None
+    if any(2 <= len(sp) <= char_space.max_len for sp in vocab.spellings()):
+        return StochMap._of_kernel(char_space, token_space, rows, section_of)
+    values = _MergedValues(vocab, char_space, token_space, ())
+    return StochMap._of_values(char_space, token_space, values, section_of)
 
 
 def uniform_tokenizer(vocab: Vocab, max_len: int) -> Tokenizer:
-    """Stochastic encoder spreading mass uniformly over all segmentations."""
+    """Stochastic encoder spreading mass uniformly over all segmentations.
+
+    The encoder is `_uniform_encoder`'s, which builds a row on lookup, so
+    building the pair lists no space, and over an open vocabulary every
+    atom of every row decodes back to its text by construction.
+    """
     encoder = _uniform_encoder(vocab, Space(vocab.sigma, max_len), Space(vocab.delta, max_len))
     return Tokenizer(encoder, concat_decoder(vocab, max_len))

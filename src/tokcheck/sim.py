@@ -4,14 +4,15 @@ Each schedule step draws its own sample with a seed derived as seed XOR n,
 so steps are independent and reproducible in isolation. A step counts its
 draws per support string of the target (`dist.sample_counts`, the draws of
 `dist.sample`, read in bulk from the generator) and mixes the round trips
-of those strings, each tabulated once per run, by the relative
+of those strings, each computed once per run, by the relative
 frequencies; by linearity that is the empirical distribution encoded and
-decoded. A mix of distributions by positive weights summing to 1 is a
-distribution, so it is built without re-checking its masses. Convergence
-at desk scale is judged by the total variation at the final step
-(threshold fixed here, stated in every report); the exact asymptotic
-answer is the bias, computed with rational arithmetic from the same round
-trips.
+decoded. A pair that is exact by construction round-trips each string to
+its point mass, so no row is pushed through either map. A mix of
+distributions by positive weights summing to 1 is a distribution, so it
+is built without re-checking its masses. Convergence at desk scale is
+judged by the total variation at the final step (threshold fixed here,
+stated in every report); the exact asymptotic answer is the bias,
+computed with rational arithmetic from the same round trips.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dist import Dist, EstimatorTrace, _require_increasing, sample_counts, tv_distance
+from .dist import Dist, EstimatorTrace, _require_increasing, point_mass, sample_counts, tv_distance
 from .errors import EmptySample, SpaceMismatch
 from .stochmap import kernel_at, pushforward
 from .strings import Space, Str
-from .tokenizer import Tokenizer
+from .tokenizer import Tokenizer, _exact_by_construction
 
 CONVERGENCE_TOLERANCE = Fraction(1, 20)  # TV threshold 0.05, judged at the final step
 
@@ -51,9 +52,15 @@ class SimSummary:
 
 
 def _round_trips(t: Tokenizer, p_star: Dist) -> dict[Str, Dist]:
-    """The decoded encoder row of each support string of p_star."""
+    """The decoded encoder row of each support string of p_star.
+
+    When the encoder is a section of the decoder's homomorphism, each is the
+    point mass on its string, and no row is read.
+    """
     if p_star.space != t.char_space:
         raise SpaceMismatch("target distribution must live over the encoder's domain")
+    if _exact_by_construction(t):
+        return {x: point_mass(x, t.decoder.cod_space) for x in p_star.mass}
     return {x: pushforward(t.decoder, kernel_at(t.encoder, x)) for x in p_star.mass}
 
 

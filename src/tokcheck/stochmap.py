@@ -5,10 +5,13 @@ domain space, and its kernel and values iterate in canonical domain order.
 A deterministic map stores only its values, whose `image(x)` gives the
 symbols of the value at x, and its kernel builds each point mass on lookup;
 the monoid homomorphism fixed by one spelling per domain symbol (such as the
-concatenating decoder) stores only the spellings, and the greedy encoder
-only its vocabulary; both compute each value on lookup. Other kernels are
-stored sparsely (positive masses only). Composition is row-column
-summation; with exact rational masses the row sums stay exactly 1.
+concatenating decoder) stores only the spellings, and the greedy and
+merge-based encoders only their vocabulary and merges; each computes a value
+on lookup. The uniform encoder builds each of its rows on lookup too. Other
+kernels are stored sparsely (positive masses only). A constructive encoder
+records in `section_of` the spellings that decode each of its atoms back to
+its text. Composition is row-column summation; with exact rational masses
+the row sums stay exactly 1.
 """
 
 from __future__ import annotations
@@ -110,8 +113,9 @@ class StochMap:
     holds each row's output if all rows are point masses, else None;
     `spellings`, set by `from_spellings`, holds each domain symbol's image.
     `section_of`, set by a constructive encoder, holds a spelling list whose
-    homomorphism maps every value back to its domain string, so that
-    decoding with those spellings undoes the map by construction.
+    homomorphism maps every atom of every row back to its domain string
+    (every value, for a deterministic map), so that decoding with those
+    spellings undoes the map by construction.
     """
 
     __slots__ = ("dom_space", "cod_space", "kernel", "values", "spellings", "section_of")
@@ -172,6 +176,19 @@ class StochMap:
         # trusted: values keyed by the domain in canonical order, lie in cod_space and give `image`
         f = object.__new__(cls)
         f._fill(dom_space, cod_space, _PointKernel(values, cod_space), values, None, section_of)
+        return f
+
+    @classmethod
+    def _of_kernel(
+        cls,
+        dom_space: Space,
+        cod_space: Space,
+        kernel: Mapping[Str, Dist],
+        section_of: tuple[Str, ...] | None = None,
+    ) -> StochMap:
+        # trusted: rows keyed by the domain in canonical order, over cod_space, not all point masses
+        f = object.__new__(cls)
+        f._fill(dom_space, cod_space, kernel, None, None, section_of)
         return f
 
     @classmethod
@@ -345,8 +362,8 @@ def materialize(
     space) or a distribution over it. Any exception it raises is
     wrapped as ProcUndefined at the offending input. Rows are checked here,
     once each, as they are made, and the map is built from them without the
-    constructor's checks. The greedy encoder is not tabulated here:
-    `encoders.munch_encoder` encodes each text on lookup.
+    constructor's checks. The constructive encoders are not tabulated
+    here: each encodes a text on lookup.
     """
     rows: dict[Str, Str | Dist] = {}
     for x in dom_space.strings():

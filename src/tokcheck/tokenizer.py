@@ -58,9 +58,9 @@ class Tokenizer:
 def _exact_by_construction(t: Tokenizer) -> bool:
     """Whether the encoder is a section of the decoder's homomorphism.
 
-    The encoder records the spelling list whose homomorphism sends each of
-    its values back to the text, and a decoder built from the same
-    spellings is that homomorphism on every value.
+    The encoder records the spelling list whose homomorphism sends every
+    atom of each of its rows back to the text, and a decoder built from the
+    same spellings is that homomorphism on every atom.
     """
     section_of = t.encoder.section_of
     return section_of is not None and section_of == t.decoder.spellings

@@ -128,6 +128,20 @@ def oracle_munch_encoder(vocab, max_len, unk_token=None, out_max_len=None):
     return tk.materialize(encode, char_space, token_space)
 
 
+def oracle_bpe_encoder(vocab, merges, max_len, out_max_len=None):
+    """The merge-based encoder tabulated eagerly: `bpe_encode` on every text of the space."""
+    char_space = tk.Space(vocab.sigma, max_len)
+    token_space = tk.Space(vocab.delta, max_len if out_max_len is None else out_max_len)
+    return tk.materialize(lambda s: tk.bpe_encode(vocab, merges, s), char_space, token_space)
+
+
+def oracle_uniform_encoder(vocab, max_len, out_max_len=None):
+    """The uniform encoder tabulated eagerly: `uniform_segmenter` on every text of the space."""
+    char_space = tk.Space(vocab.sigma, max_len)
+    token_space = tk.Space(vocab.delta, max_len if out_max_len is None else out_max_len)
+    return tk.materialize(lambda s: tk.uniform_segmenter(vocab, s), char_space, token_space)
+
+
 def oracle_longest_match(vocab, syms, pos=0):
     """Longest match by probing every length from the longest spelling down to 1."""
     for n in range(min(vocab.max_spelling_len, len(syms) - pos), 0, -1):

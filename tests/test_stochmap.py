@@ -228,7 +228,9 @@ def test_materialize_wraps_failures(vocab):
 
 
 def test_materialize_checks_each_row_once(monkeypatch):
-    """Loading the BPE spec at length 8 checks each of its 9,841 encoder rows once."""
+    """Tabulating `bpe_encode` over the BPE spec's 9,841 texts of length 8 checks each row once."""
+    vocab = cli.load_spec(str(Path(__file__).parent / "data" / "the_bpe.json"), 0).vocab
+    merges = tk.MergeList.from_texts(vocab, [("t", "h"), ("h", "e")])
     calls = 0
     require = tk.Space.require
 
@@ -238,8 +240,9 @@ def test_materialize_checks_each_row_once(monkeypatch):
         return require(space, s)
 
     monkeypatch.setattr(tk.Space, "require", counting)
-    bundle = cli.load_spec(str(Path(__file__).parent / "data" / "the_bpe.json"), 8)
-    assert bundle.tokenizer.encoder.dom_space.size() == 9841
+    encode = lambda s: tk.bpe_encode(vocab, merges, s)
+    encoder = tk.materialize(encode, tk.Space(vocab.sigma, 8), tk.Space(vocab.delta, 8))
+    assert encoder.dom_space.size() == 9841
     assert calls == 9841
 
 
