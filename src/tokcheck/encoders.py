@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dist import Dist
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     TruncationOverflow,
     VocabNotOpen,
 )
-from .stochmap import StochMap, _ValuesOnLookup
+from .stochmap import StochMap, _OnLookup, _ValuesOnLookup
 from .strings import TOKENS, Alphabet, Space, Str, factorizations, parse_str
 from .tokenizer import Tokenizer
 
@@ -250,14 +250,12 @@ def munch_encoder(
     It stores the vocabulary, not its rows, and its values equal those of
     `materialize` over `maximal_munch_encode`. The errors that tabulation
     would raise are decided at construction. An unknown unk_token label is
-    a KeyError. Without an unk token, the first text no spelling prefixes
-    is the first character with no one-character spelling (any later
-    failing text fails at such a character, which comes before it), so
-    construction raises ProcUndefined there, at position 0. A greedy row
-    is never longer than its text, so the token truncation, max_len by
-    default, only cuts rows when an explicit out_max_len is shorter; then
-    one canonical-order pass over the lookups raises at the first failing
-    or over-long text, as tabulation would.
+    a KeyError. With an unk token every text encodes; without one, the
+    first text no spelling prefixes is the first character with no
+    one-character spelling (any later failing text fails at such a
+    character, which comes before it), and `_raise_where_tabulation_fails`
+    raises ProcUndefined there, at position 0, or at the first row longer
+    than an explicit out_max_len shorter than max_len.
 
     Over an open vocabulary every position matches, so the spellings of
     the matched tokens concatenate to the text: the encoder is a section
@@ -269,18 +267,11 @@ def munch_encoder(
     token_space = Space(vocab.delta, max_len if out_max_len is None else out_max_len)
     values = _GreedyValues(vocab, char_space, token_space, unk_index)
     is_open = vocab.is_open
-    if token_space.max_len < max_len:
-        for x in char_space.strings():
-            try:
-                y = values[x]
-            except NoMatchingPrefix as exc:
-                raise ProcUndefined(x, exc) from None
-            token_space.require(y)
-    elif unk_index is None and max_len and not is_open:
-        c = next(c for c in range(len(vocab.sigma)) if vocab.token_by_spelling((c,)) is None)
-        raise ProcUndefined(Str._wrap(vocab.sigma, (c,)), NoMatchingPrefix(0))
     section_of = tuple(vocab.spellings()) if is_open else None
-    return StochMap._of_values(char_space, token_space, values, section_of)
+    f = StochMap._of_values(char_space, token_space, values, section_of)
+    total = is_open or unk_index is not None
+    _raise_where_tabulation_fails(f.kernel, char_space, token_space, total)
+    return f
 
 
 def bpe_encode(vocab: Vocab, merges: MergeList, sigma: Str) -> Str:
@@ -373,28 +364,18 @@ def uniform_segmenter(vocab: Vocab, sigma: Str) -> Dist:
     return Dist(Space(vocab.delta, len(sigma)), {s: share for s in segs})
 
 
-class _SegmentationKernel(Mapping):
-    """Rows of the uniform encoder: each text's `uniform_segmenter`, built on lookup.
+class _SegmentationKernel(_OnLookup):
+    """Rows of the uniform encoder: each text's `uniform_segmenter`, built on lookup."""
 
-    Keys are the domain strings in canonical order; a key outside the
-    domain raises KeyError.
-    """
+    __slots__ = ("_vocab",)
 
     def __init__(self, vocab: Vocab, dom_space: Space, cod_space: Space):
+        self.dom_space = dom_space
+        self.cod_space = cod_space
         self._vocab = vocab
-        self._dom_space = dom_space
-        self._cod_space = cod_space
 
-    def __getitem__(self, x: Str) -> Dist:
-        if not isinstance(x, Str) or x not in self._dom_space:
-            raise KeyError(x)
-        return Dist._of_masses(self._cod_space, uniform_segmenter(self._vocab, x).mass)
-
-    def __iter__(self) -> Iterator[Str]:
-        return self._dom_space.strings()
-
-    def __len__(self) -> int:
-        return self._dom_space.size()
+    def _at(self, x: Str) -> Dist:
+        return Dist._of_masses(self.cod_space, uniform_segmenter(self._vocab, x).mass)
 
 
 def munch_tokenizer(vocab: Vocab, max_len: int, unk_token: str | None = None) -> Tokenizer:
@@ -410,21 +391,22 @@ def munch_tokenizer(vocab: Vocab, max_len: int, unk_token: str | None = None) ->
 
 
 def _raise_where_tabulation_fails(
-    rows: Mapping[Str, Dist], char_space: Space, token_space: Space, is_open: bool
+    rows: Mapping[Str, Dist], char_space: Space, token_space: Space, total: bool
 ) -> None:
     """Raise what tabulating a constructive encoder's rows would, at the same text.
 
     Tabulation walks the texts in canonical order, wraps a failing lookup
     as ProcUndefined at its text and refuses the first atom past the token
-    truncation. Each encoder here is defined at every text over an open
-    vocabulary, and over any other first fails at the first character with
-    no one-character spelling, so the rows of the texts of length at most 1
-    decide it. A token truncation below the text truncation may cut any
-    longer row, so then every row is read.
+    truncation. `total` says the encoder is defined at every text, as each
+    encoder here is over an open vocabulary; one that is not first fails at
+    the first character with no one-character spelling, so the rows of the
+    texts of length at most 1 decide it. No row is longer than its text,
+    so only a token truncation below the text truncation may cut one, and
+    then every row is read.
     """
     if token_space.max_len < char_space.max_len:
         texts = char_space.strings()
-    elif char_space.max_len and not is_open:
+    elif char_space.max_len and not total:
         texts = Space(char_space.alphabet, 1).strings()
     else:
         return

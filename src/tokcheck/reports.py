@@ -85,15 +85,16 @@ class ClassificationReport:
 class ProbeReport:
     """Result of probing the exactness/consistency equivalence.
 
-    For an exact tokenizer the probe checks consistency against random
-    distributions; every point mass is decided by the exactness check,
-    since consistency with the point mass on x is the round-trip row at x
-    being that point mass. For an inexact tokenizer it exhibits a
-    point-mass distribution the tokenizer is inconsistent with: exact is the
-    exactness verdict, and counterexample is then its witness. An exact
-    report that is not ok names the distribution it found not preserved;
-    an inexact one that is not ok names the point mass it did not show
-    inconsistent.
+    exact is the exactness verdict. Consistency with the point mass on x
+    is the round-trip row at x being that point mass, so exactness decides
+    every point mass and, by linearity, every distribution: an exact
+    tokenizer is consistent on `trials` random distributions and all point
+    masses. For an inexact tokenizer the report exhibits a point mass the
+    tokenizer is inconsistent with, and counterexample is the exactness
+    witness. The reports that are not ok come from a probe that pushes
+    distributions, such as the test suite's oracle: an exact one names the
+    distribution found not preserved, and an inexact one the point mass
+    not shown inconsistent.
     """
 
     exact: bool

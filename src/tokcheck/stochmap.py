@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .dist import _ONE, Dist, point_mass
 from .errors import (
-    NotDeterministic,
     OutOfDomain,
     OutOfTruncation,
     ProcUndefined,
@@ -33,20 +32,20 @@ from .reports import Verdict
 from .strings import Space, Str
 
 
-class _ValuesOnLookup(Mapping):
-    """Read-only values of a deterministic map, computed on each lookup and never stored.
+class _OnLookup(Mapping):
+    """A read-only mapping over a domain space whose entries are computed on lookup, never stored.
 
-    A subclass gives `image`, the symbols of the value at a domain string.
-    Keys are the domain strings in canonical order; a key outside the
-    domain raises KeyError.
+    A subclass gives `_at`, the entry at a domain string. Keys are the
+    domain strings in canonical order; a key outside the domain raises
+    KeyError, and membership is decided by the domain alone.
     """
 
     __slots__ = ("dom_space", "cod_space")
 
-    def __getitem__(self, x: Str) -> Str:
+    def __getitem__(self, x: Str):
         if not isinstance(x, Str) or x not in self.dom_space:
             raise KeyError(x)
-        return Str._wrap(self.cod_space.alphabet, self.image(x))
+        return self._at(x)
 
     def __contains__(self, x) -> bool:
         return isinstance(x, Str) and x in self.dom_space
@@ -56,6 +55,15 @@ class _ValuesOnLookup(Mapping):
 
     def __len__(self) -> int:
         return self.dom_space.size()
+
+
+class _ValuesOnLookup(_OnLookup):
+    """Values of a deterministic map; a subclass gives `image`, the symbols of the value at x."""
+
+    __slots__ = ()
+
+    def _at(self, x: Str) -> Str:
+        return Str._wrap(self.cod_space.alphabet, self.image(x))
 
 
 class _SpellingValues(_ValuesOnLookup):
@@ -232,18 +240,6 @@ class StochMap:
         """Kernel rows in canonical domain order."""
         return self.kernel.items()
 
-    def row_is_point(self, x: Str, y: Str) -> bool:
-        """Whether the row at x is the point mass on y; reads the row at x."""
-        mass = kernel_at(self, x).mass
-        return len(mass) == 1 and y in mass
-
-    def value_at(self, x: Str) -> Str:
-        """The single output of a deterministic row; raises if the row is stochastic."""
-        row = kernel_at(self, x)
-        if len(row.mass) != 1:
-            raise NotDeterministic(f"row at {x!r} is not a point mass")
-        return next(iter(row.mass))
-
 
 def kernel_at(f: StochMap, x: Str) -> Dist:
     try:
@@ -304,8 +300,8 @@ def is_deterministic(f: StochMap) -> Verdict:
     """
     if f.values is not None:
         return Verdict.passed()
-    x = next(x for x, row in f.kernel.items() if len(row.mass) != 1)
-    return Verdict.failed(x, f"row has support size {len(f.kernel[x].mass)}")
+    x, row = next((x, row) for x, row in f.kernel.items() if len(row.mass) != 1)
+    return Verdict.failed(x, f"row has support size {len(row.mass)}")
 
 
 def is_injective(f: StochMap) -> Verdict:

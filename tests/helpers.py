@@ -90,7 +90,7 @@ def random_open_vocab(rng, max_sigma=3, max_spelling=3, max_extras=3):
 def corrupt_first_unit_row(t):
     """Redirect the decoder row at the encoding of the first length-1 text."""
     first = min((s for s in t.char_space.strings() if len(s) == 1), key=tk.Str.sort_key)
-    target = t.encoder.value_at(first)
+    target = t.encoder.values[first]
     wrong = next(s for s in t.decoder.cod_space.strings() if s != first)
     kernel = dict(t.decoder.kernel)
     kernel[target] = tk.point_mass(wrong, t.decoder.cod_space)
@@ -240,7 +240,7 @@ def oracle_eligibility(decoder):
     alpha = decoder.dom_space.alphabet
     for i in range(len(alpha) if decoder.dom_space.max_len else 0):
         token = tk.Str(alpha, (i,))
-        if len(decoder.value_at(token)) == 0:
+        if len(decoder.values[token]) == 0:
             note = "trivial kernel: false, witness " + token.render()
             return tk.Verdict.failed(token, note + ", token decodes to the empty string")
     return tk.Verdict.passed()

@@ -133,6 +133,56 @@ def test_exactness_and_estimation_build_no_encoder_row(monkeypatch):
     assert calls == []
 
 
+def _count_encoder_rows(monkeypatch):
+    """The texts merged and segmented from here on, in call order."""
+    merged_texts, segmented_texts = [], []
+    merged, segmentations = encoders._merged, encoders.segmentations
+
+    def counting_merged(triples, seq):
+        merged_texts.append(tuple(seq))
+        return merged(triples, seq)
+
+    def counting_segmentations(vocab, sigma):
+        segmented_texts.append(sigma.render())
+        return segmentations(vocab, sigma)
+
+    monkeypatch.setattr(encoders, "_merged", counting_merged)
+    monkeypatch.setattr(encoders, "segmentations", counting_segmentations)
+    return merged_texts, segmented_texts
+
+
+def test_probe_builds_no_encoder_row(monkeypatch):
+    """The probe on the BPE and uniform specs is decided by construction, reading no row."""
+    merged_texts, segmented_texts = _count_encoder_rows(monkeypatch)
+    for spec in (DATA / "the_bpe.json", GOLDEN / "uniform.json"):
+        t = cli.load_spec(str(spec), 5).tokenizer
+        assert tk.exact_iff_all_consistent_probe(t, 50, 0) == tk.ProbeReport(True, 50, True)
+    assert merged_texts == [] and segmented_texts == []
+
+
+def test_check_builds_only_the_uniform_rows_up_to_the_first_stochastic_one(monkeypatch, capsys):
+    """`check` at n=5 merges no text of the BPE spec and segments each of the uniform
+    spec's texts up to th, its first stochastic row, once."""
+    merged_texts, segmented_texts = _count_encoder_rows(monkeypatch)
+    assert cli.main(["check", str(DATA / "the_bpe.json"), "--max-len", "5"]) == 0
+    assert merged_texts == [] and segmented_texts == []
+    assert cli.main(["check", str(GOLDEN / "uniform.json"), "--max-len", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "deterministic encoder: false, witness th, row has support size 2" in out
+    assert merged_texts == []
+    assert segmented_texts == ["ε", "t", "h", "e", "tt", "th"]
+
+
+def test_uniform_kernel_membership_builds_no_row(monkeypatch):
+    encoder = cli.load_spec(str(GOLDEN / "uniform.json"), 5).tokenizer.encoder
+    _, segmented_texts = _count_encoder_rows(monkeypatch)
+    sigma = encoder.dom_space.alphabet
+    assert tk.parse_str(sigma, "the") in encoder.kernel
+    assert tk.Str(sigma, (0,) * 6) not in encoder.kernel
+    assert "the" not in encoder.kernel
+    assert segmented_texts == []
+
+
 def test_point_queries_at_max_len_14_print_what_short_truncations_print(capsys):
     """`preimages` on the BPE spec and `marginalize --text` on the uniform spec read no
     encoder row, so at length 14 they print what length 7 prints, under 4 MiB."""

@@ -35,9 +35,9 @@ def test_vocab_invariants(sigma):
 
 def test_concat_decoder_values(vocab):
     dec = tk.concat_decoder(vocab, 3)
-    assert dec.value_at(tk.parse_str(vocab.delta, "th|e")) == tk.parse_str(vocab.sigma, "the")
-    assert dec.value_at(tk.parse_str(vocab.delta, "t|he")) == tk.parse_str(vocab.sigma, "the")
-    assert dec.value_at(tk.parse_str(vocab.delta, "ε")) == tk.parse_str(vocab.sigma, "ε")
+    assert dec.values[tk.parse_str(vocab.delta, "th|e")] == tk.parse_str(vocab.sigma, "the")
+    assert dec.values[tk.parse_str(vocab.delta, "t|he")] == tk.parse_str(vocab.sigma, "the")
+    assert dec.values[tk.parse_str(vocab.delta, "ε")] == tk.parse_str(vocab.sigma, "ε")
 
 
 def test_concat_decoder_truncation_overflow(vocab):
@@ -224,7 +224,7 @@ def test_lossy_unk_mode_breaks_exactness():
     )
     t = tk.munch_tokenizer(vocab, 2, unk_token="unk")
     y = tk.parse_str(alpha, "y")
-    assert t.encoder.value_at(y).render() == "unk"
+    assert t.encoder.values[y].render() == "unk"
     verdict = tk.is_exact(t)
     assert not verdict and verdict.witness == y
 

@@ -117,7 +117,7 @@ def test_munch_tokenizer_builds_without_listing_its_space(vocab, monkeypatch):
         spec = cli.load_spec(str(DATA / "the_vocab.json"), 14).tokenizer
     text = tk.parse_str(vocab.sigma, "thethethe")
     for built in (t, spec):
-        assert built.encoder.value_at(text) == tk.maximal_munch_encode(vocab, text)
+        assert built.encoder.values[text] == tk.maximal_munch_encode(vocab, text)
         assert len(built.encoder.values) == tk.Space(vocab.sigma, 14).size()
         assert tk.is_exact(built)
 
@@ -126,7 +126,7 @@ def _query(tokenizer, rng, oracle):
     """A token distribution over some encodings of texts and some random token sequences."""
     token_space = tokenizer.token_space
     texts = [tokenizer.char_space.at(rng.randrange(tokenizer.char_space.size())) for _ in range(3)]
-    atoms = {oracle.value_at(x) for x in texts}
+    atoms = {oracle.values[x] for x in texts}
     atoms |= {token_space.at(rng.randrange(token_space.size())) for _ in range(3)}
     return tk.Dist(token_space, {d: Fraction(1, len(atoms)) for d in atoms})
 

@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -100,8 +99,6 @@ def test_spelling_decoder_matches_tabulated_twin(pair, k, seed):
             assert x not in h.kernel
             with pytest.raises(OutOfDomain):
                 tk.kernel_at(h, x)
-            with pytest.raises(OutOfDomain):
-                h.value_at(x)
 
 
 def test_spelling_decoder_rows_and_errors(vocab):
@@ -156,36 +153,4 @@ def test_concat_decoder_n12_is_small(vocab):
     assert peak < 2**20
     assert len(dec.kernel) == (5**13 - 1) // 4
     delta = tk.parse_str(vocab.delta, "|".join(["th", "e", "t", "he"] * 3))
-    assert dec.value_at(delta) == tk.parse_str(vocab.sigma, "thethe" * 3)
-
-
-@settings(max_examples=100, deadline=None)
-@given(spelling_decoder_pairs())
-def test_row_is_point_matches_the_rows(pair):
-    t, twin = pair
-    f, g = t.decoder, twin.decoder
-    cod = f.cod_space
-    foreign = tk.Str(tk.Alphabet(("z",)), ())
-    too_long = tk.Str(cod.alphabet, (0,) * (cod.max_len + 1))
-    short = list(tk.Space(cod.alphabet, 2).strings())
-    for x in f.dom_space.strings():
-        (value,) = g.kernel[x].mass
-        for y in [value, foreign, too_long, *short]:
-            want = y in cod and g.kernel[x] == tk.point_mass(y, cod)
-            assert f.row_is_point(x, y) == g.row_is_point(x, y) == want
-    outside = tk.Str(f.dom_space.alphabet, (0,) * (f.dom_space.max_len + 1))
-    for h in (f, g):
-        with pytest.raises(OutOfDomain):
-            h.row_is_point(outside, short[0])
-
-
-def test_row_is_point_is_false_on_a_stochastic_row():
-    sigma = tk.Alphabet(("a", "b"))
-    space = tk.Space(sigma, 1)
-    a, b = tk.parse_str(sigma, "a"), tk.parse_str(sigma, "b")
-    half = tk.Dist(space, {a: Fraction(1, 2), b: Fraction(1, 2)})
-    kernel = {x: tk.point_mass(x, space) for x in space.strings()}
-    kernel[a] = half
-    f = tk.StochMap(space, space, kernel)
-    assert f.row_is_point(b, b)
-    assert not f.row_is_point(a, a) and not f.row_is_point(a, b)
+    assert dec.values[delta] == tk.parse_str(vocab.sigma, "thethe" * 3)

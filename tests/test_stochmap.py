@@ -152,7 +152,7 @@ def test_deterministic_pushforward_is_fiber_mass_transport():
         out = tk.pushforward(f, p)
         for y in SP2.strings():
             fiber = sum(
-                (p.mass_of(x) for x in SP2.strings() if f.value_at(x) == y), Fraction(0)
+                (p.mass_of(x) for x in SP2.strings() if f.values[x] == y), Fraction(0)
             )
             assert out.mass_of(y) == fiber
 
@@ -212,7 +212,7 @@ def test_materialize_row_count_and_agreement(vocab):
     enc = tk.materialize(lambda s: tk.maximal_munch_encode(vocab, s), space3, tok3)
     assert len(enc.kernel) == 40  # 1 + 3 + 9 + 27
     for x in space3.strings():
-        assert enc.value_at(x) == tk.maximal_munch_encode(vocab, x)
+        assert enc.values[x] == tk.maximal_munch_encode(vocab, x)
     dec = tk.concat_decoder(vocab, 3)
     assert tk.is_deterministic(dec)
 

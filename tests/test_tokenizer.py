@@ -447,7 +447,7 @@ def probe_tokenizers(draw):
         if kind == "corrupted":
             return corrupt_first_unit_row(t)
         text = t.char_space.at(draw(st.integers(0, t.char_space.size() - 1)))
-        delta = t.encoder.value_at(text)
+        delta = t.encoder.values[text]
         other = t.decoder.cod_space.at(0 if text.syms else 1)  # ε, or the first character
         kernel = dict(t.decoder.kernel)
         half = Fraction(1, 2)
@@ -474,8 +474,8 @@ def test_probe_matches_point_mass_oracle_on_inexact_tables(fig1, swap):
             assert report == oracle_probe(t, trials, seed)
 
 
-def test_probe_enumerates_the_char_space_at_most_once(vocab, monkeypatch):
-    """The trials draw without listing the space, and each still pushes through both maps."""
+def test_probe_enumerates_the_char_space_at_most_once(vocab, fig1, monkeypatch):
+    """Exactness decides the probe: it lists no space and pushes nothing through either map."""
     t = tk.munch_tokenizer(vocab, 4)
     enumerate_strings = tokcheck.strings.enumerate_strings
     pushforward = tokcheck.tokenizer.pushforward
@@ -492,9 +492,10 @@ def test_probe_enumerates_the_char_space_at_most_once(vocab, monkeypatch):
     monkeypatch.setattr(tokcheck.strings, "enumerate_strings", counting_enumerate)
     monkeypatch.setattr(tokcheck.tokenizer, "pushforward", counting_pushforward)
     report = tk.exact_iff_all_consistent_probe(t, trials=50, seed=11)
-    assert report.exact and report.ok
-    assert enumerated in ([], [(vocab.sigma, 4)])
-    assert pushed == [t.encoder, t.decoder] * 50
+    assert report == tk.ProbeReport(True, 50, True)
+    report = tk.exact_iff_all_consistent_probe(fig1[0], trials=50, seed=11)
+    assert not report.exact and report.ok
+    assert enumerated == [] and pushed == []
 
 
 def test_marginalize_matches_preimage_sum():
@@ -514,7 +515,7 @@ def test_marginalize_matches_preimage_sum():
             twin = tabulated_twin(vocab.spellings(), t.token_space, t.decoder.cod_space)
             t = tk.Tokenizer(t.encoder, twin)
         q = random_dist(t.token_space, rng, max_support=60)
-        decodings = {t.decoder.value_at(d) for d in q.mass}
+        decodings = {t.decoder.values[d] for d in q.mass}
         for sigma in [*t.char_space.strings(), *decodings]:
             if len(sigma) > t.char_space.max_len:
                 for query in (tk.marginalize, oracle_marginalize):
@@ -630,10 +631,10 @@ def test_spelling_decoder_verdicts_read_no_rows(vocab, monkeypatch):
         return enumerate_strings(alphabet, max_len)
 
     def forbidden(*args):
-        raise AssertionError("row_is_point called")
+        raise AssertionError("a row was read")
 
     monkeypatch.setattr(tokcheck.strings, "enumerate_strings", counting_enumerate)
-    monkeypatch.setattr(tk.StochMap, "row_is_point", forbidden)
+    monkeypatch.setattr(tokcheck.stochmap._PointKernel, "__getitem__", forbidden)
     assert [tk.is_exact(t) for t in (exact, inexact)] == wants
     assert wants == [tk.Verdict.passed(), tk.Verdict.failed(texts[2])]
     assert [tk.marginalize(t, q, s) for t in (exact, inexact) for s in texts] == marginals * 2

@@ -88,15 +88,13 @@ def test_value_map_twins_agree(table):
         assert list(f.kernel) == list(first.kernel) == list(dom.strings())
         assert cli.table_rows(f) == cli.table_rows(first)
         for x, y in values.items():
-            assert f.value_at(x) == y
+            assert f.values[x] == y
             for z in candidates:
-                assert f.row_is_point(x, z) == (z == y)
+                assert (tuple(tk.kernel_at(f, x).mass) == (z,)) == (z == y)
         for x in outside:
-            assert x not in f.kernel
-            with pytest.raises(OutOfDomain):
-                f.value_at(x)
-            with pytest.raises(OutOfDomain):
-                f.row_is_point(x, candidates[0])
+            assert x not in f.kernel and x not in f.values
+            with pytest.raises(KeyError):
+                f.values[x]
             with pytest.raises(OutOfDomain):
                 tk.kernel_at(f, x)
         for g in maps:
@@ -160,7 +158,6 @@ def test_one_stochastic_row_keeps_a_table(table, data):
             assert f.kernel[x] is row
         else:
             assert f.kernel[x] == tk.point_mass(row, cod)
-            assert f.value_at(x) == row
     witness = min(stochastic, key=tk.Str.sort_key)
     assert tk.is_deterministic(f) == tk.Verdict.failed(witness, "row has support size 2")
 
